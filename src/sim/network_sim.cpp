@@ -1,3 +1,23 @@
+// The network trial engine: a slot-loop orchestrator (run_trial_impl)
+// over named per-trial components, each with its own explicit state.
+//
+//   ChannelTables     per-link gains, couplings, swings, harvest steps
+//                     (sim/trial_components.hpp; cached when static)
+//   Wake schedule     who wakes when: WakeBuckets | WakeScan
+//   Energy tracker    per-tag energy recurrence: EnergyFastForward |
+//                     EnergySweep
+//   Interference      worst in-range interference of a frame's window:
+//   window            SegmentMaxWindow | SlotSumWindow
+//   GatewaySlotSynth  one gateway-slot of the sample-level chain
+//   EscalationCache   frame log + lazily synthesized noisy slot history
+//   Failover          current serving gateway + dead-gateway failover
+//   RelayFabric       forwarding queues, ETX counters, re-parenting
+//   TrialAccounting   the single site every frame outcome is booked at
+//
+// run_trial() and run_trial_reference() differ only in the three
+// components with two implementations (active-set engine first); every
+// other step — RNG draw order, frame resolution, fault handling — is
+// the same code, and the ActiveSetEngine tests pin the two EXPECT_EQ.
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
@@ -8,6 +28,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "channel/ambient_source.hpp"
@@ -15,8 +36,21 @@
 #include "channel/impairments.hpp"
 #include "dsp/envelope.hpp"
 #include "sim/link_budget.hpp"
+#include "sim/trial_components.hpp"
 
 namespace fdb::sim {
+
+/// Construction-time channel tables of a static channel (static fading,
+/// shadowing off): every per-trial table is then trial-invariant, so
+/// trials read these instead of rebuilding them.
+struct NetworkSimulator::StaticChannel {
+  SynthArena arena;
+  ChannelTables tables;
+  /// Full-trial fold of slots_per_trial idle harvest adds per tag: the
+  /// harvested_j of a tag that never transmits, in one lookup.
+  std::vector<double> idle_sum;
+};
+
 namespace {
 
 /// Runtime state of one tag inside a trial. The slot-domain machine
@@ -26,11 +60,9 @@ namespace {
 struct TagRt {
   enum class St { kBackoff, kTx, kWaitVerdict };
   St st = St::kBackoff;
-  std::size_t counter = 0;   // slots remaining in backoff / verdict wait
   std::size_t progress = 0;  // on-air slots of the current frame
   mac::TagMacState mac;      // policy state (failure class / BEB exponent)
-  bool wait_entered_now = false;  // skip the tick the slot we enter wait
-  bool brownout_now = false;      // energy ran out during this slot
+  bool brownout_now = false;  // energy ran out during this slot
 
   // Current frame attempt.
   std::vector<std::uint8_t> payload;
@@ -73,6 +105,598 @@ struct QueuedFrame {
   std::vector<std::uint8_t> payload;
 };
 
+/// The decode predicate: sync found, every block verified, and the
+/// payload is the one the tag sent.
+bool decoded(const core::FdRxResult& r,
+             const std::vector<std::uint8_t>& payload) {
+  return r.status != Status::kSyncNotFound && r.blocks.blocks_failed == 0 &&
+         r.blocks.payload == payload;
+}
+
+/// One slot of a tag's energy recurrence, split by activity state.
+class EnergySteps {
+ public:
+  EnergySteps(const NetworkSimConfig& cfg, const ChannelTables& ch,
+              double dt, std::vector<TagRt>& rt,
+              std::vector<NetworkTagStats>& stats)
+      : cfg_(cfg), ch_(ch), dt_(dt), rt_(rt), stats_(stats) {}
+
+  void idle(std::size_t k) const {
+    stats_[k].harvested_j += ch_.h_idle[k];
+    if (!cfg_.energy_gating) return;
+    TagRt& tag = rt_[k];
+    tag.storage.charge(ch_.h_idle[k]);
+    tag.storage.tick(dt_);
+    tag.ledger.spend(energy::TagState::kListening, dt_);
+    // A failed draw while merely listening drains the store but is not
+    // an outage event — only gated starts and mid-frame brownouts
+    // count, per the NetworkTagStats contract.
+    tag.storage.draw(cfg_.power.power(energy::TagState::kListening) * dt_);
+  }
+  void active(std::size_t k) const {
+    stats_[k].harvested_j += ch_.h_act[k];
+    if (!cfg_.energy_gating) return;
+    TagRt& tag = rt_[k];
+    tag.storage.charge(ch_.h_act[k]);
+    tag.storage.tick(dt_);
+    tag.ledger.spend(energy::TagState::kBackscattering, dt_);
+    if (!tag.storage.draw(
+            cfg_.power.power(energy::TagState::kBackscattering) * dt_)) {
+      ++stats_[k].energy_outages;
+      tag.brownout_now = true;
+    }
+  }
+
+ protected:
+  const NetworkSimConfig& cfg_;
+  const ChannelTables& ch_;
+  double dt_;
+  std::vector<TagRt>& rt_;
+  std::vector<NetworkTagStats>& stats_;
+};
+
+/// Energy tracker of the active-set engine: on-air tags step every slot,
+/// idle spans fast-forward on demand. sync() replays the exact per-slot
+/// idle sequence, so storage clamps, leak ticks, ledger adds and draw
+/// failures land bit-identically to the sweep; next_[k] is the first
+/// slot whose recurrence has not been applied yet.
+class EnergyFastForward : public EnergySteps {
+ public:
+  EnergyFastForward(const EnergySteps& steps, SynthArena& arena,
+                    std::span<const double> idle_sum)
+      : EnergySteps(steps),
+        next_(arena.alloc_zeroed<std::uint32_t>(rt_.size())),
+        idle_sum_(idle_sum) {}
+
+  void sync(std::size_t k, std::uint64_t upto) {
+    for (std::uint64_t s = next_[k]; s < upto; ++s) idle(k);
+    next_[k] = static_cast<std::uint32_t>(upto);
+  }
+  void on_slot(std::uint64_t slot, const std::vector<std::size_t>& on_air) {
+    for (const std::size_t k : on_air) {
+      active(k);
+      next_[k] = static_cast<std::uint32_t>(slot + 1);
+    }
+  }
+  /// Settles the outstanding idle span at trial end; a tag that never
+  /// woke under a static channel takes the precomputed whole-trial fold
+  /// (the identical sequential sum from the same 0.0) in one add.
+  void finish(std::size_t k, std::uint64_t slots) {
+    if (!idle_sum_.empty() && !cfg_.energy_gating && next_[k] == 0) {
+      stats_[k].harvested_j += idle_sum_[k];
+    } else {
+      sync(k, slots);
+    }
+  }
+
+ private:
+  std::span<std::uint32_t> next_;
+  std::span<const double> idle_sum_;
+};
+
+/// Energy tracker of the reference engine: every tag steps every slot.
+class EnergySweep : public EnergySteps {
+ public:
+  EnergySweep(const EnergySteps& steps, SynthArena&, std::span<const double>)
+      : EnergySteps(steps) {}
+
+  void sync(std::size_t, std::uint64_t) {}
+  void on_slot(std::uint64_t, const std::vector<std::size_t>& on_air) {
+    std::size_t ai = 0;  // on_air is ascending
+    for (std::size_t k = 0; k < rt_.size(); ++k) {
+      if (ai < on_air.size() && on_air[ai] == k) {
+        active(k);
+        ++ai;
+      } else {
+        idle(k);
+      }
+    }
+  }
+  void finish(std::size_t, std::uint64_t) {}
+};
+
+/// Interference window of the active-set engine: a running per-(tag,
+/// gateway) maximum of the per-slot interference sums, folded while the
+/// frame is on air. A frame is on air over exactly [start, start +
+/// frame) slots, so the maximum covers the window the reference scan
+/// does (max is exact and order-independent — same bits, no rescan).
+class SegmentMaxWindow {
+ public:
+  SegmentMaxWindow(SynthArena& arena, std::size_t n_tags, std::size_t n_gw,
+                   std::size_t /*slots*/)
+      : n_gw_(n_gw), max_(arena.alloc<float>(n_tags * n_gw)) {}
+
+  void start(std::size_t k) {
+    std::fill_n(max_.begin() + k * n_gw_, n_gw_, 0.0f);
+  }
+  void record(std::size_t g, std::uint64_t, float sum,
+              const std::vector<std::size_t>& on_air) {
+    for (const std::size_t k : on_air) {
+      float& m = max_[k * n_gw_ + g];
+      if (sum > m) m = sum;
+    }
+  }
+  float worst(std::size_t k, std::size_t g, std::uint64_t,
+              std::uint64_t) const {
+    return max_[k * n_gw_ + g];
+  }
+
+ private:
+  std::size_t n_gw_;
+  std::span<float> max_;
+};
+
+/// Interference window of the reference engine: the historical
+/// per-(gateway, slot) sum rows, rescanned over each frame's window.
+class SlotSumWindow {
+ public:
+  SlotSumWindow(SynthArena& arena, std::size_t /*n_tags*/, std::size_t n_gw,
+                std::size_t slots)
+      : slots_(slots), sum_(arena.alloc_zeroed<float>(n_gw * slots)) {}
+
+  void start(std::size_t) {}
+  void record(std::size_t g, std::uint64_t slot, float sum,
+              const std::vector<std::size_t>&) {
+    sum_[g * slots_ + slot] = sum;
+  }
+  float worst(std::size_t, std::size_t g, std::uint64_t lo,
+              std::uint64_t hi) const {
+    float worst = 0.0f;
+    for (std::uint64_t s = lo; s < hi; ++s) {
+      worst = std::max(worst, sum_[g * slots_ + s]);
+    }
+    return worst;
+  }
+
+ private:
+  std::size_t slots_;
+  std::span<float> sum_;
+};
+
+/// One gateway-slot of the sample-level chain, shared by the kWaveform
+/// slot path and kHybrid escalation: the caller gathers the slot's
+/// entities (antenna-state mask view + tag) into masks/tags; run() picks
+/// up their coupling pair at gateway g, runs the fused cross-entity
+/// kernel (sum the selected couplings, multiply the carrier in once),
+/// then the slot's fault transform and the gateway's AWGN fork.
+class GatewaySlotSynth {
+ public:
+  GatewaySlotSynth(SynthArena& arena, bool on, std::size_t n_tags,
+                   std::size_t slot_samples, const ChannelTables& ch,
+                   std::span<channel::AwgnChannel> noise,
+                   const FaultPlan& fplan)
+      : masks(arena.alloc<const std::uint8_t*>(on ? n_tags : 0)),
+        tags(arena.alloc<std::uint32_t>(on ? n_tags : 0)),
+        on_(arena.alloc<cf32>(on ? n_tags : 0)),
+        off_(arena.alloc<cf32>(on ? n_tags : 0)),
+        coeff_(arena.alloc<cf32>(on ? slot_samples : 0)),
+        ch_(ch),
+        noise_(noise),
+        fplan_(fplan) {}
+
+  std::span<const std::uint8_t*> masks;
+  std::span<std::uint32_t> tags;
+
+  void run(std::size_t g, std::uint64_t slot, std::size_t n,
+           std::span<const cf32> carrier, std::span<cf32> out) {
+    const std::size_t n_gw = noise_.size();
+    for (std::size_t e = 0; e < n; ++e) {
+      on_[e] = ch_.coup_on[tags[e] * n_gw + g];
+      off_[e] = ch_.coup_off[tags[e] * n_gw + g];
+    }
+    WaveformSynthesizer::synthesize_slot_gateway(
+        carrier, ch_.h_sr[g],
+        std::span<const std::uint8_t* const>(masks.data(), n),
+        std::span<const cf32>(on_.data(), n),
+        std::span<const cf32>(off_.data(), n), coeff_, out);
+    if (fplan_.any()) {
+      // The carrier sag scales every ambient-derived component (leakage
+      // and backscatter are both linear in the carrier, so post-scaling
+      // the clean sum is exact), burst-interferer tones arrive over the
+      // air, and the gateway attenuation then scales everything
+      // reaching the faulted front end — receiver noise stays unscaled.
+      const float cs = fplan_.carrier_scale(slot);
+      if (cs != 1.0f) {
+        for (auto& v : out) v *= cs;
+      }
+      fplan_.add_interferers(g, slot, out);
+      const float a = fplan_.gateway_atten(g, slot);
+      if (a != 1.0f) {
+        for (auto& v : out) v *= a;
+      }
+    }
+    noise_[g].process(out, out);
+  }
+
+ private:
+  std::span<cf32> on_, off_, coeff_;
+  const ChannelTables& ch_;
+  std::span<channel::AwgnChannel> noise_;
+  const FaultPlan& fplan_;
+};
+
+/// kHybrid's escalation state. The frame log records who was on air
+/// when, so an escalated window re-synthesizes exactly the slots it
+/// needs (amortised std::vectors, not arena carves: escalation demand is
+/// data-dependent). The slot cache keeps the noisy synthesized receive
+/// history per (gateway, slot), built the first time any escalated
+/// window touches the slot and shared by every later escalation —
+/// contested frames overlap heavily in dense scenes, and overlapping
+/// frames must see one noise realisation, as on the waveform path. A
+/// slot is final once built: every frame that can overlap it is already
+/// logged when the first escalation reaches it, because escalations run
+/// at verdict time, after the escalating frame's window has elapsed.
+///
+/// Storage is chunk-lazy: each (gateway, run of kChunkSlots slots) is
+/// carved from the arena on first touch, and a decode window is gathered
+/// into contiguous `win` scratch before the envelope stage (identical
+/// sample values, hence identical verdicts). Escalation demand is
+/// deterministic per trial, so the arena's high-water capacity stays
+/// replay-stable.
+class EscalationCache {
+ public:
+  /// Escalated-demod memo: frames that started in the same slot share
+  /// the identical decode window at a gateway, so the receiver output is
+  /// the same — cluster peers reuse it bit-for-bit.
+  struct Demod {
+    std::uint32_t g;
+    std::uint64_t start;
+    core::FdRxResult r;
+  };
+
+  EscalationCache(SynthArena& arena, bool on, std::size_t n_tags,
+                  std::size_t n_gw, std::size_t slots,
+                  std::size_t slot_samples, std::size_t win_slots)
+      : win(arena.alloc<cf32>(on ? win_slots * slot_samples : 0)),
+        env(arena.alloc<float>(on ? win_slots * slot_samples : 0)),
+        slots_(slots),
+        ss_(slot_samples),
+        chunks_per_gw_((slots + kChunkSlots - 1) / kChunkSlots),
+        chunks_(arena.alloc<cf32*>(on ? n_gw * chunks_per_gw_ : 0)),
+        built_(arena.alloc_zeroed<std::uint8_t>(on ? n_gw * slots : 0)) {
+    std::fill(chunks_.begin(), chunks_.end(), nullptr);
+    if (on) {
+      frames.reserve(n_tags);
+      slot_off.assign(slots + 1, 0);
+    }
+  }
+
+  std::vector<FrameLog> frames;
+  std::vector<std::uint32_t> slot_frames;  ///< frame ids, slot-major
+  std::vector<std::uint32_t> slot_off;     ///< slot s: [off[s], off[s+1])
+  std::span<cf32> win;
+  std::span<float> env;
+  std::vector<Demod> demod;
+  std::vector<std::size_t> order;  ///< contested gateways, best first
+
+  std::uint32_t log(std::uint32_t k, std::uint64_t slot,
+                    const std::vector<std::uint8_t>& payload) {
+    frames.push_back({k, slot, payload, {}});
+    return static_cast<std::uint32_t>(frames.size() - 1);
+  }
+  /// Indexes the on-air frames of `slot`. Fully-culled tags are in range
+  /// of no gateway, so escalation would skip them anyway.
+  void index_slot(std::uint64_t slot, const std::vector<std::size_t>& on_air,
+                  const std::vector<TagRt>& rt,
+                  const std::vector<std::uint8_t>& culled) {
+    for (const std::size_t k : on_air) {
+      if (!culled[k]) slot_frames.push_back(rt[k].frame_id);
+    }
+    slot_off[slot + 1] = static_cast<std::uint32_t>(slot_frames.size());
+  }
+  const Demod* find(std::size_t g, std::uint64_t start) const {
+    for (const Demod& d : demod) {
+      if (d.g == g && d.start == start) return &d;
+    }
+    return nullptr;
+  }
+  cf32* slot_ptr(SynthArena& arena, std::size_t g, std::size_t s) {
+    cf32*& chunk = chunks_[g * chunks_per_gw_ + s / kChunkSlots];
+    if (chunk == nullptr) chunk = arena.alloc<cf32>(kChunkSlots * ss_).data();
+    return chunk + (s % kChunkSlots) * ss_;
+  }
+  /// True the first time (g, s) is requested: the caller builds it.
+  bool claim(std::size_t g, std::size_t s) {
+    return !std::exchange(built_[g * slots_ + s], std::uint8_t{1});
+  }
+
+ private:
+  static constexpr std::size_t kChunkSlots = 4;
+  std::size_t slots_;
+  std::size_t ss_;
+  std::size_t chunks_per_gw_;
+  std::span<cf32*> chunks_;
+  std::span<std::uint8_t> built_;
+};
+
+/// Serving-gateway state. `serving_now` is the gateway a tag currently
+/// listens through — the trial's link-quality choice until the opt-in
+/// dead-gateway failover (kBestGateway) re-selects it after a failure
+/// streak. The machine draws its holdoff jitter from its own side
+/// substream in deterministic (slot, tag) order, so enabling it never
+/// disturbs the main trial draws.
+class Failover {
+ public:
+  Failover(const NetworkSimConfig& cfg, std::size_t n_gw,
+           std::uint64_t trial_index, const ChannelTables& ch,
+           SynthArena& arena)
+      : cfg_(cfg),
+        n_gw_(n_gw),
+        on_(cfg.failover_streak_frames > 0 && n_gw > 1 &&
+            cfg.combining == GatewayCombining::kBestGateway),
+        serving_now_(arena.alloc<std::size_t>(ch.serving.size())),
+        h_tr_(ch.h_tr),
+        rng_(Rng::substream(cfg.seed ^ kSalt, trial_index)) {
+    std::copy(ch.serving.begin(), ch.serving.end(), serving_now_.begin());
+    if (on_) {
+      streak_.assign(serving_now_.size(), 0);
+      streak_start_.assign(serving_now_.size(), 0);
+      switches_.assign(serving_now_.size(), 0);
+      blacklist_until_.assign(serving_now_.size() * n_gw, 0);
+    }
+  }
+
+  /// The combining rule: kAnyGateway listens to every gateway,
+  /// kBestGateway to the serving one alone.
+  bool listens(std::size_t k, std::size_t g) const {
+    return cfg_.combining == GatewayCombining::kAnyGateway ||
+           g == serving_now_[k];
+  }
+  std::size_t serving(std::size_t k) const { return serving_now_[k]; }
+
+  /// A delivery clears the streak; a failure extends it, and hitting the
+  /// threshold blacklists the serving gateway for a jittered
+  /// capped-exponential holdoff and re-selects the best remaining link.
+  void note(std::size_t k, bool delivered, std::uint64_t start_slot,
+            std::uint64_t learn_slot, NetworkTrialResult& res) {
+    if (!on_) return;
+    if (delivered) {
+      streak_[k] = 0;
+      switches_[k] = 0;
+      return;
+    }
+    if (streak_[k] == 0) streak_start_[k] = start_slot;
+    if (++streak_[k] < cfg_.failover_streak_frames) return;
+    const std::size_t old_g = serving_now_[k];
+    const std::size_t holdoff = mac::failover_holdoff_slots(
+        rng_, cfg_.failover_holdoff_slots, switches_[k],
+        cfg_.failover_max_exponent);
+    blacklist_until_[k * n_gw_ + old_g] = learn_slot + 1 + holdoff;
+    std::size_t best = old_g;
+    float best_mag = -1.0f;
+    for (std::size_t g = 0; g < n_gw_; ++g) {
+      if (blacklist_until_[k * n_gw_ + g] > learn_slot) continue;
+      const float mag = std::abs(h_tr_[k * n_gw_ + g]);
+      if (mag > best_mag) {
+        best_mag = mag;
+        best = g;
+      }
+    }
+    if (best != old_g) {
+      serving_now_[k] = best;
+      ++res.failovers;
+      res.time_to_failover_slots.add(
+          static_cast<double>(learn_slot - streak_start_[k] + 1));
+      ++switches_[k];
+    }
+    streak_[k] = 0;
+  }
+
+ private:
+  static constexpr std::uint64_t kSalt = 0xfa110feedULL;
+  const NetworkSimConfig& cfg_;
+  std::size_t n_gw_;
+  bool on_;
+  std::span<std::size_t> serving_now_;
+  std::span<const cf32> h_tr_;
+  Rng rng_;
+  std::vector<std::size_t> streak_;
+  std::vector<std::uint64_t> streak_start_;
+  std::vector<std::size_t> switches_;
+  std::vector<std::uint64_t> blacklist_until_;
+};
+
+/// Per-trial relaying state: each child's current parent (an index into
+/// its candidate list), per-link ETX counters, forwarding queues, and
+/// the end-to-end failure streaks that drive re-parenting. Heap vectors
+/// — queued payloads grow data-dependently.
+struct RelayFabric {
+  RelayFabric(const RelayTopology& topo, const RelayConfig& cfg, bool on,
+              std::size_t n_tags)
+      : topo(topo), cfg(cfg) {
+    if (!on) return;
+    queue.resize(n_tags);
+    parent.assign(n_tags, 0);
+    etx_attempts.assign(topo.num_links(), 0);
+    etx_success.assign(topo.num_links(), 0);
+    streak.assign(n_tags, 0);
+    streak_start.assign(n_tags, 0);
+  }
+
+  /// Index of tag k's current parent link in the per-link tables.
+  std::size_t link(std::size_t k) const {
+    return topo.link_offset(k) + parent[k];
+  }
+
+  /// End-to-end relay feedback: every loss of an originator's frame past
+  /// its own transmission extends its streak (the implicit missing ACK a
+  /// real mesh would observe); hitting the threshold re-parents onto the
+  /// smoothed-ETX-best candidate, landing in the failover stats — which
+  /// is how a gateway outage shows up as relay rerouting.
+  /// `charge_link` marks losses the child's own hop bookkeeping has not
+  /// counted: they land as a failed attempt on its *current* link, so a
+  /// dead upstream degrades the link's ETX even while the first hop
+  /// itself keeps succeeding.
+  void charge_failure(std::uint32_t o, std::uint64_t learn_slot,
+                      bool charge_link, NetworkTrialResult& res) {
+    if (charge_link) ++etx_attempts[link(o)];
+    if (streak[o] == 0) streak_start[o] = learn_slot;
+    if (++streak[o] < cfg.reparent_fail_streak) return;
+    const auto cands = topo.candidates(o);
+    const std::size_t off = topo.link_offset(o);
+    std::size_t best = parent[o];
+    double best_etx = std::numeric_limits<double>::infinity();
+    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+      const double etx = static_cast<double>(etx_attempts[off + ci] + 1) /
+                         static_cast<double>(etx_success[off + ci] + 1);
+      if (etx < best_etx) {
+        best_etx = etx;
+        best = ci;
+      }
+    }
+    if (best != parent[o]) {
+      parent[o] = static_cast<std::uint32_t>(best);
+      ++res.failovers;
+      res.time_to_failover_slots.add(
+          static_cast<double>(learn_slot - streak_start[o] + 1));
+    }
+    streak[o] = 0;
+  }
+
+  const RelayTopology& topo;
+  const RelayConfig& cfg;
+  std::vector<std::vector<QueuedFrame>> queue;
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint64_t> etx_attempts;
+  std::vector<std::uint64_t> etx_success;
+  std::vector<std::size_t> streak;
+  std::vector<std::uint64_t> streak_start;
+};
+
+/// How a frame attempt ended.
+enum class Outcome {
+  kDelivered,
+  kFailed,       ///< resolved at a gateway, not delivered
+  kHopFailed,    ///< relay hop to the parent tag failed
+  kBrownout,     ///< storage emptied mid-frame
+  kNotifyAbort,  ///< collision notification arrived: aborted
+};
+
+/// The one place frame outcomes are booked: per-tag counters, collision
+/// and sync-failure tallies, detection latency, relay drops, and fault
+/// exposure.
+class TrialAccounting {
+ public:
+  TrialAccounting(std::size_t payload_bytes, std::size_t frame_slots,
+                  const FaultPlan& fplan, const std::vector<TagRt>& rt,
+                  const Failover& failover, RelayFabric& relay,
+                  NetworkTrialResult& res)
+      : payload_bits_(payload_bytes * 8), frame_slots_(frame_slots),
+        fplan_(fplan), rt_(rt), failover_(failover), relay_(relay),
+        res_(res) {}
+
+  void settle(std::size_t k, std::uint64_t learn_slot, Outcome o) {
+    const TagRt& tag = rt_[k];
+    const bool delivered = o == Outcome::kDelivered;
+    if (fplan_.any() && o != Outcome::kHopFailed) {
+      classify_fault_exposure(k, delivered);
+    }
+    if (tag.forwarding) {
+      // A forward's outcome belongs to the originator; the relay's own
+      // per-tag counters stay untouched (delivered + collided <=
+      // attempted must keep holding per tag).
+      const std::uint32_t o_tag = tag.fwd_originator;
+      if (!delivered) {
+        ++res_.relay_drops;
+        relay_.charge_failure(o_tag, learn_slot, /*charge_link=*/true, res_);
+        return;
+      }
+      ++res_.tags[o_tag].frames_delivered;
+      res_.tags[o_tag].payload_bits_delivered += payload_bits_;
+      ++res_.relayed_delivered;
+      res_.relay_hops.add(static_cast<double>(tag.fwd_hops + 1));
+      res_.useful_slots += frame_slots_;
+      relay_.streak[o_tag] = 0;
+      return;
+    }
+    NetworkTagStats& st = res_.tags[k];
+    if (delivered) {
+      ++st.frames_delivered;
+      st.payload_bits_delivered += payload_bits_;
+      res_.useful_slots += frame_slots_;
+      return;
+    }
+    const bool aborted = o == Outcome::kBrownout || o == Outcome::kNotifyAbort;
+    if (aborted) ++st.frames_aborted;
+    if (tag.overlapped) {
+      ++st.frames_collided;
+      ++res_.collisions;
+      if (o != Outcome::kBrownout) {
+        res_.detect_latency_slots.add(
+            static_cast<double>(learn_slot - tag.overlap_start + 1));
+      }
+    } else if (!aborted) {
+      ++res_.sync_failures;
+    }
+    // A failed first hop of fresh traffic: the hop itself was already
+    // recorded on the link.
+    if (o == Outcome::kHopFailed) {
+      relay_.charge_failure(static_cast<std::uint32_t>(k), learn_slot,
+                            /*charge_link=*/false, res_);
+    }
+  }
+
+ private:
+  /// Exposure is judged over the frame's on-air window at the gateways
+  /// the combining rule listens to. Failed-and-exposed frames tally into
+  /// every fault class whose window touched them (exposure, not causal
+  /// attribution — see NetworkTrialResult).
+  void classify_fault_exposure(std::size_t k, bool delivered) {
+    const std::size_t lo = rt_[k].start_slot;
+    const std::size_t hi = lo + frame_slots_;
+    const bool sag = fplan_.window_has_sag(lo, hi);
+    bool outage = false;
+    bool interf = false;
+    for (std::size_t g = 0; g < res_.gateway_decodes.size(); ++g) {
+      if (!failover_.listens(k, g)) continue;
+      outage = outage || fplan_.window_has_outage(g, lo, hi);
+      interf = interf || fplan_.window_has_interference(g, lo, hi);
+    }
+    const TagFault* f = fplan_.tag_fault(static_cast<std::uint32_t>(k));
+    const bool tagf = f != nullptr &&
+                      f->start_slot < static_cast<std::int64_t>(hi) &&
+                      f->end_slot > static_cast<std::int64_t>(lo);
+    if (!(sag || outage || interf || tagf)) return;
+    ++res_.faulted_frames_attempted;
+    if (delivered) {
+      ++res_.faulted_frames_delivered;
+      return;
+    }
+    if (outage) ++res_.frames_lost_outage;
+    if (sag) ++res_.frames_lost_sag;
+    if (interf) ++res_.frames_lost_interference;
+    if (tagf) ++res_.frames_lost_tag_fault;
+  }
+
+  std::uint64_t payload_bits_;
+  std::size_t frame_slots_;
+  const FaultPlan& fplan_;
+  const std::vector<TagRt>& rt_;
+  const Failover& failover_;
+  RelayFabric& relay_;
+  NetworkTrialResult& res_;
+};
+
 }  // namespace
 
 double NetworkSimConfig::noise_power_w() const {
@@ -80,17 +704,36 @@ double NetworkSimConfig::noise_power_w() const {
   return channel::thermal_noise_power(modem.data.rates.sample_rate_hz,
                                       noise_figure_db);
 }
-
 void NetworkSimConfig::validate() const {
   if (tags.empty()) {
     throw std::invalid_argument(
         "NetworkSimConfig: tags must be non-empty (a network needs at "
         "least one tag)");
   }
-  if (!(tx_power_w > 0.0)) {
+  for (std::size_t k = 0; k < tags.size(); ++k) {
+    const NetworkTagConfig& t = tags[k];
+    if (!std::isfinite(t.position.x) || !std::isfinite(t.position.y)) {
+      throw std::invalid_argument("NetworkSimConfig: tags[" +
+                                  std::to_string(k) +
+                                  "].position must be finite");
+    }
+    if (!(t.reflection_rho > 0.0 && t.reflection_rho <= 1.0)) {
+      throw std::invalid_argument(
+          "NetworkSimConfig: tags[" + std::to_string(k) +
+          "].reflection_rho must lie in (0, 1], got " +
+          std::to_string(t.reflection_rho));
+    }
+  }
+  if (!(tx_power_w > 0.0) || !std::isfinite(tx_power_w)) {
     throw std::invalid_argument(
-        "NetworkSimConfig: tx_power_w must be positive, got " +
+        "NetworkSimConfig: tx_power_w must be positive and finite, got " +
         std::to_string(tx_power_w));
+  }
+  if (!(envelope_cutoff_mult > 0.0) || !std::isfinite(envelope_cutoff_mult)) {
+    throw std::invalid_argument(
+        "NetworkSimConfig: envelope_cutoff_mult must be positive and "
+        "finite, got " +
+        std::to_string(envelope_cutoff_mult));
   }
   if (carrier != "cw" && carrier != "ofdm_tv") {
     throw std::invalid_argument(
@@ -137,6 +780,7 @@ void NetworkSimConfig::validate() const {
   fleet.validate();
   faults.validate();
 }
+
 
 void NetworkTagStats::merge(const NetworkTagStats& other) {
   frames_attempted += other.frames_attempted;
@@ -270,6 +914,110 @@ double NetworkSimSummary::energy_outage_fraction() const {
   return denom ? static_cast<double>(outages) / static_cast<double>(denom)
                : 0.0;
 }
+ChannelTables build_channel_tables(const ChannelInputs& in, GainSource gains,
+                                   SynthArena& arena) {
+  const std::size_t n_gw = in.gateways.size();
+  const std::size_t n_tags = in.tags.size();
+  const double amp_tx = std::sqrt(in.tx_power_w);
+  // Per-link complex gain: shadowing redraws reciprocally per coherence
+  // block inside the scene, small-scale fading comes from the source.
+  const auto gain = [&](std::size_t a, std::size_t b, double amp) {
+    return gains.next() *
+           static_cast<float>(amp * in.scene.amplitude_gain(a, b, gains.block));
+  };
+  auto h_sr = arena.alloc<cf32>(n_gw);
+  for (std::size_t g = 0; g < n_gw; ++g) {
+    h_sr[g] = gain(in.ambient, in.gateways[g], amp_tx);
+  }
+  auto h_st = arena.alloc<cf32>(n_tags);
+  auto h_tr = arena.alloc<cf32>(n_tags * n_gw);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    h_st[k] = gain(in.ambient, in.tags[k], amp_tx);
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      h_tr[k * n_gw + g] = gain(in.tags[k], in.gateways[g], 1.0);
+    }
+  }
+
+  // Tag-tag hop links: drawn right after the gateway links, so enabling
+  // relaying extends the draw sequence instead of reordering it. Each
+  // entry is the envelope swing the parent tag sees of the child's
+  // reflection riding on the parent's own ambient carrier.
+  std::span<float> delta_tt{};
+  if (in.relay != nullptr) {
+    delta_tt = arena.alloc<float>(in.relay->num_links());
+    for (const std::uint32_t k : in.relay->relay_children()) {
+      const auto cands = in.relay->candidates(k);
+      const std::size_t off = in.relay->link_offset(k);
+      const auto& gamma = in.modulators[k].states();
+      for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+        const cf32 h_tp = gain(in.tags[k], in.tags[cands[ci]], 1.0);
+        delta_tt[off + ci] = static_cast<float>(envelope_swing(
+            h_st[cands[ci]], h_tp * gamma.gamma_reflect * h_st[k],
+            h_tp * gamma.gamma_absorb * h_st[k]));
+      }
+    }
+  }
+
+  // Serving gateway per tag (kBestGateway): strongest tag->gateway link
+  // of this realisation; ties to the lowest index.
+  auto serving = arena.alloc<std::size_t>(n_tags);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    std::size_t best = 0;
+    float best_mag = std::abs(h_tr[k * n_gw]);
+    for (std::size_t g = 1; g < n_gw; ++g) {
+      const float mag = std::abs(h_tr[k * n_gw + g]);
+      if (mag > best_mag) {
+        best_mag = mag;
+        best = g;
+      }
+    }
+    serving[k] = best;
+  }
+
+  // Composed ambient->tag->gateway coefficient of each switch position,
+  // exactly as the synthesizer folds them (h_tag->gw * Gamma(state) *
+  // h_ambient->tag, left to right). The analytic swing table, per-slot
+  // synthesis and escalation all read these.
+  auto coup_on = arena.alloc<cf32>(n_tags * n_gw);
+  auto coup_off = arena.alloc<cf32>(n_tags * n_gw);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    const auto& gamma = in.modulators[k].states();
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      const std::size_t i = k * n_gw + g;
+      coup_on[i] = h_tr[i] * gamma.gamma_reflect * h_st[k];
+      coup_off[i] = h_tr[i] * gamma.gamma_absorb * h_st[k];
+    }
+  }
+
+  // Envelope swing of every (tag, gateway) link — exact for the
+  // block-static channel — in SoA layout: `delta` feeds the classifier,
+  // `half` is the in-range-masked half swing the interference fold adds.
+  auto delta = arena.alloc<float>(n_tags * n_gw);
+  auto half = arena.alloc<float>(n_tags * n_gw);
+  for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
+    delta[i] = static_cast<float>(
+        envelope_swing(h_sr[i % n_gw], coup_on[i], coup_off[i]));
+    half[i] = in.in_range[i] ? 0.5f * delta[i] : 0.0f;
+  }
+
+  // Per-slot harvest increments in the two activity states. Reflecting
+  // alternates absorb/reflect roughly half the time, so the harvester
+  // sees the mean of the two fractions.
+  auto h_idle = arena.alloc<double>(n_tags);
+  auto h_act = arena.alloc<double>(n_tags);
+  for (std::size_t k = 0; k < n_tags; ++k) {
+    const auto& mod = in.modulators[k];
+    const double p_inc = static_cast<double>(std::norm(h_st[k]));
+    h_idle[k] = in.harvester.harvest(p_inc * mod.harvest_fraction(false),
+                                     in.slot_s);
+    h_act[k] = in.harvester.harvest(
+        p_inc * (0.5 * (mod.harvest_fraction(false) +
+                        mod.harvest_fraction(true))),
+        in.slot_s);
+  }
+  return {h_sr, h_st, h_tr, coup_on, coup_off, delta, half,
+          delta_tt, serving, h_idle, h_act};
+}
 
 NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
     : config_(std::move(config)),
@@ -393,119 +1141,40 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
   num_culled_ = static_cast<std::size_t>(
       std::count(culled_.begin(), culled_.end(), std::uint8_t{1}));
 
-  // Harvest fractions are pure functions of the modulator's reflection
-  // states, hence trial-invariant in every mode.
-  hf_idle_.resize(config_.tags.size());
-  hf_act_.resize(config_.tags.size());
-  for (std::size_t k = 0; k < config_.tags.size(); ++k) {
-    hf_idle_[k] = modulators_[k].harvest_fraction(false);
-    // Reflecting alternates absorb/reflect roughly half the time, so
-    // the harvester sees the mean of the two fractions (the exact
-    // expression the per-slot energy sweep historically evaluated).
-    hf_act_[k] = 0.5 * (modulators_[k].harvest_fraction(false) +
-                        modulators_[k].harvest_fraction(true));
-  }
 
-  // Static-channel cache (see the header): every expression below is
-  // copied verbatim from the per-trial build with fade_draw() replaced
-  // by StaticFading's exact {1, 0} gain and the coherence block pinned
-  // to 0 — with shadowing disabled amplitude_gain ignores the block, so
-  // the cached values are bit-identical to what any trial would build.
-  static_channel_ = config_.fading == "static" &&
-                    config_.pathloss.shadowing_sigma_db == 0.0;
-  if (static_channel_) {
-    const std::size_t n_tags = config_.tags.size();
-    const double amp_tx = std::sqrt(config_.tx_power_w);
-    const cf32 unit_fade{1.0f, 0.0f};
-    st_h_sr_.resize(n_gw);
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      st_h_sr_[g] = unit_fade *
-                    static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                    ambient_device_,
-                                                    gateway_device_[g], 0));
-    }
-    st_h_st_.resize(n_tags);
-    st_h_tr_.resize(n_tags * n_gw);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      st_h_st_[k] = unit_fade *
-                    static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                    ambient_device_,
-                                                    tag_device_[k], 0));
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        st_h_tr_[k * n_gw + g] =
-            unit_fade * static_cast<float>(scene_.amplitude_gain(
-                            tag_device_[k], gateway_device_[g], 0));
-      }
-    }
-    st_coup_on_.resize(n_tags * n_gw);
-    st_coup_off_.resize(n_tags * n_gw);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const auto& gamma = modulators_[k].states();
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        st_coup_on_[k * n_gw + g] =
-            st_h_tr_[k * n_gw + g] * gamma.gamma_reflect * st_h_st_[k];
-        st_coup_off_[k * n_gw + g] =
-            st_h_tr_[k * n_gw + g] * gamma.gamma_absorb * st_h_st_[k];
-      }
-    }
-    // Swing tables in SoA layout: delta feeds the margin classifier,
-    // half is the in-range-masked half-swing the interference fold
-    // adds (element-independent builds — the compiler vectorizes).
-    st_delta_.resize(n_tags * n_gw);
-    st_half_.resize(n_tags * n_gw);
-    for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
-      const std::size_t g = i % n_gw;
-      st_delta_[i] = static_cast<float>(
-          envelope_swing(st_h_sr_[g], st_coup_on_[i], st_coup_off_[i]));
-      st_half_[i] = in_range_[i] ? 0.5f * st_delta_[i] : 0.0f;
-    }
-    st_serving_.resize(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      std::size_t best = 0;
-      float best_mag = std::abs(st_h_tr_[k * n_gw]);
-      for (std::size_t g = 1; g < n_gw; ++g) {
-        const float mag = std::abs(st_h_tr_[k * n_gw + g]);
-        if (mag > best_mag) {
-          best_mag = mag;
-          best = g;
-        }
-      }
-      st_serving_[k] = best;
-    }
-    if (config_.relay.enabled && relay_topo_.num_links() > 0) {
-      st_delta_tt_.resize(relay_topo_.num_links());
-      for (const std::uint32_t k : relay_topo_.relay_children()) {
-        const auto cands = relay_topo_.candidates(k);
-        const std::size_t off = relay_topo_.link_offset(k);
-        const auto& gamma = modulators_[k].states();
-        for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-          const cf32 h_tp =
-              unit_fade * static_cast<float>(scene_.amplitude_gain(
-                              tag_device_[k], tag_device_[cands[ci]], 0));
-          st_delta_tt_[off + ci] = static_cast<float>(envelope_swing(
-              st_h_st_[cands[ci]], h_tp * gamma.gamma_reflect * st_h_st_[k],
-              h_tp * gamma.gamma_absorb * st_h_st_[k]));
-        }
-      }
-    }
-    // Per-slot harvest increments and the full-trial idle fold. The
-    // fold replays the exact add sequence the per-slot sweep performs,
-    // so crediting it in one += at trial end is bit-identical.
-    const double dt = slot_seconds();
-    st_h_idle_.resize(n_tags);
-    st_h_act_.resize(n_tags);
-    st_idle_sum_.resize(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const double p_inc = static_cast<double>(std::norm(st_h_st_[k]));
-      st_h_idle_[k] = harvester_.harvest(p_inc * hf_idle_[k], dt);
-      st_h_act_[k] = harvester_.harvest(p_inc * hf_act_[k], dt);
+  // Static-channel cache: with static fading and shadowing disabled the
+  // trial build below is trial-invariant (StaticFading draws nothing and
+  // amplitude_gain ignores the coherence block), so it runs once here
+  // with the unit gain source — bit-identical tables, no draw skipped.
+  if (config_.fading == "static" &&
+      config_.pathloss.shadowing_sigma_db == 0.0) {
+    auto st = std::make_shared<StaticChannel>();
+    st->tables = build_channel_tables(channel_inputs(), {}, st->arena);
+    // The fold replays the exact add sequence of the per-slot sweep.
+    st->idle_sum.resize(config_.tags.size());
+    for (std::size_t k = 0; k < config_.tags.size(); ++k) {
       double acc = 0.0;
       for (std::size_t s = 0; s < config_.slots_per_trial; ++s) {
-        acc += st_h_idle_[k];
+        acc += st->tables.h_idle[k];
       }
-      st_idle_sum_[k] = acc;
+      st->idle_sum[k] = acc;
     }
+    static_channel_ = std::move(st);
   }
+}
+
+ChannelInputs NetworkSimulator::channel_inputs() const {
+  const bool relay_on = config_.relay.enabled && relay_topo_.num_links() > 0;
+  return {.scene = scene_,
+          .ambient = ambient_device_,
+          .gateways = gateway_device_,
+          .tags = tag_device_,
+          .modulators = modulators_,
+          .in_range = in_range_,
+          .relay = relay_on ? &relay_topo_ : nullptr,
+          .tx_power_w = config_.tx_power_w,
+          .harvester = harvester_,
+          .slot_s = slot_seconds()};
 }
 
 double NetworkSimulator::slot_seconds() const {
@@ -555,995 +1224,422 @@ NetworkTrialResult NetworkSimulator::run_trial_reference(
   return run_trial_impl<false>(trial_index, arena, stages);
 }
 
+/// One trial's components and its frame-level steps (start, advance,
+/// resolve). Members are declared — hence constructed — in the trial
+/// Rng's draw order: ambient source seed, channel fade draws, one AWGN
+/// fork per gateway (forked in every mode to keep the MAC draws
+/// aligned), then the MAC's trial-opening waits. All modes consume the
+/// Rng identically, so a trial's MAC evolution and channel realisation
+/// are mode-independent and only the verdict mechanism differs.
 template <bool ActiveSet>
-NetworkTrialResult NetworkSimulator::run_trial_impl(
-    std::uint64_t trial_index, SynthArena& arena,
-    TrialStageTimes* stages) const {
+struct NetworkSimulator::Trial {
+  using Wake = std::conditional_t<ActiveSet, WakeBuckets, WakeScan>;
+  using Energy = std::conditional_t<ActiveSet, EnergyFastForward, EnergySweep>;
+  using Window =
+      std::conditional_t<ActiveSet, SegmentMaxWindow, SlotSumWindow>;
   using Clock = std::chrono::steady_clock;
-  const bool timed = stages != nullptr;
-  const auto t_entry = timed ? Clock::now() : Clock::time_point{};
-  double verdict_acc = 0.0;  // resolve time incl. escalation (wall s)
-  double esc_acc = 0.0;      // escalation share of verdict_acc
-
-  arena.reset();
-  const std::size_t n_tags = config_.tags.size();
-  const std::size_t n_gw = gateway_device_.size();
-  const std::size_t slots = config_.slots_per_trial;
-  const std::size_t total = slots * slot_samples_;
-  const double dt = slot_seconds();
-
-  NetworkTrialResult res;
-  res.tags.resize(n_tags);
-  res.gateway_decodes.resize(n_gw);
-  res.slots = slots;
-
-  // Fault realisation of this trial (empty when injection is disabled).
-  // The plan draws from a salted side substream, so the main trial
-  // randomness below is untouched by it; every fault code path in this
-  // function is guarded by `has_faults`, keeping fault-free trials
-  // bit-identical to the pre-fault engine.
-  const FaultPlan fplan = injector_.plan(trial_index);
-  const bool has_faults = fplan.any();
-
-  // Fidelity policy (sim/fleet.hpp). All modes consume the trial RNG in
-  // the identical order — source seed, fade draws, per-gateway noise
-  // forks, backoff/payload draws — so the MAC evolution and channel
-  // realisation of a trial are mode-independent and only the verdict
-  // mechanism differs.
-  const FleetConfig& fleet = config_.fleet;
-  const bool waveform_all = fleet.fidelity == FidelityMode::kWaveform;
-  const bool hybrid = fleet.fidelity == FidelityMode::kHybrid;
-  const bool analytic_on = !waveform_all || fleet.record_frames;
-
-  // Everything stochastic about this trial lives on the stack, keyed by
-  // (seed, trial_index) — the purity contract the parallel runner needs.
-  Rng rng = Rng::substream(config_.seed, trial_index);
-  const auto source = channel::make_ambient_source(config_.carrier, rng());
-
-  // Per-link complex gains for this trial: shadowing redraws reciprocally
-  // per coherence block (= trial) inside the scene; small-scale fading
-  // draws come from the trial generator in fixed link order — gateways
-  // first, then per tag the ambient->tag gain followed by that tag's
-  // gain to every gateway (a single-gateway config reproduces the
-  // historical draw sequence exactly).
-  //
-  // With a static channel (static fading, no shadowing) every table
-  // below is trial-invariant and the spans point at the construction
-  // cache instead — zero RNG draws skipped, since StaticFading consumes
-  // none, so the rest of the trial's draw sequence is untouched.
-  const bool relay_on = config_.relay.enabled && relay_topo_.num_links() > 0;
-  std::span<const cf32> h_sr{}, h_st{}, h_tr{}, coup_on{}, coup_off{};
-  std::span<const float> delta{}, half{}, delta_tt{};
-  std::span<const std::size_t> serving{};
-  std::span<const double> h_idle{}, h_act{};
-  if (static_channel_) {
-    h_sr = st_h_sr_;
-    h_st = st_h_st_;
-    h_tr = st_h_tr_;
-    coup_on = st_coup_on_;
-    coup_off = st_coup_off_;
-    delta = st_delta_;
-    half = st_half_;
-    serving = st_serving_;
-    h_idle = st_h_idle_;
-    h_act = st_h_act_;
-    if (relay_on) delta_tt = st_delta_tt_;
-  } else {
-    auto fading = channel::make_fading(config_.fading, rng);
-    const auto fade_draw = [&]() {
-      fading->next_block(rng);
-      return fading->gain();
-    };
-    const double amp_tx = std::sqrt(config_.tx_power_w);
-    auto h_sr_m = arena.alloc<cf32>(n_gw);  // ambient -> gateway leakage
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      h_sr_m[g] = fade_draw() *
-                  static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                  ambient_device_,
-                                                  gateway_device_[g],
-                                                  trial_index));
-    }
-    auto h_st_m = arena.alloc<cf32>(n_tags);  // ambient -> tag (w/ power)
-    auto h_tr_m = arena.alloc<cf32>(n_tags * n_gw);  // tag -> gw, tag-major
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      h_st_m[k] = fade_draw() *
-                  static_cast<float>(amp_tx * scene_.amplitude_gain(
-                                                  ambient_device_,
-                                                  tag_device_[k],
-                                                  trial_index));
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        h_tr_m[k * n_gw + g] =
-            fade_draw() *
-            static_cast<float>(scene_.amplitude_gain(
-                tag_device_[k], gateway_device_[g], trial_index));
-      }
-    }
-    h_sr = h_sr_m;
-    h_st = h_st_m;
-    h_tr = h_tr_m;
-
-    // Tag-tag hop links (relaying): per-trial gains drawn in (child,
-    // candidate) order right after the gateway links, so enabling
-    // relaying extends the draw sequence instead of reordering it. Each
-    // entry is the envelope swing the parent tag sees of the child's
-    // reflection riding on the parent's own ambient carrier.
-    if (relay_on) {
-      auto delta_tt_m = arena.alloc<float>(relay_topo_.num_links());
-      for (const std::uint32_t k : relay_topo_.relay_children()) {
-        const auto cands = relay_topo_.candidates(k);
-        const std::size_t off = relay_topo_.link_offset(k);
-        const auto& gamma = modulators_[k].states();
-        for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-          const cf32 h_tp =
-              fade_draw() *
-              static_cast<float>(scene_.amplitude_gain(
-                  tag_device_[k], tag_device_[cands[ci]], trial_index));
-          delta_tt_m[off + ci] = static_cast<float>(envelope_swing(
-              h_st[cands[ci]], h_tp * gamma.gamma_reflect * h_st[k],
-              h_tp * gamma.gamma_absorb * h_st[k]));
-        }
-      }
-      delta_tt = delta_tt_m;
-    }
-
-    // Serving gateway per tag (kBestGateway): strongest tag->gateway
-    // link of this trial, fading and shadowing included; ties to the
-    // lowest index. A single gateway always serves.
-    auto serving_m = arena.alloc<std::size_t>(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      std::size_t best = 0;
-      float best_mag = std::abs(h_tr[k * n_gw]);
-      for (std::size_t g = 1; g < n_gw; ++g) {
-        const float mag = std::abs(h_tr[k * n_gw + g]);
-        if (mag > best_mag) {
-          best_mag = mag;
-          best = g;
-        }
-      }
-      serving_m[k] = best;
-    }
-    serving = serving_m;
+  static double seconds_since(Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
   }
 
-  // Dead-gateway failover (opt-in, kBestGateway): serving_now is the
-  // *current* serving gateway — re-selected when a failure streak hits
-  // the threshold — while serving stays the link-quality choice. The
-  // failover machine draws its jitter from its own side substream in
-  // deterministic (slot, tag) order, so enabling it never disturbs the
-  // main trial draws.
-  const bool failover_on = config_.failover_streak_frames > 0 && n_gw > 1 &&
-                           config_.combining == GatewayCombining::kBestGateway;
-  auto serving_now = arena.alloc<std::size_t>(n_tags);
-  for (std::size_t k = 0; k < n_tags; ++k) serving_now[k] = serving[k];
-  constexpr std::uint64_t kFailoverSalt = 0xfa110feedULL;
-  Rng failover_rng = Rng::substream(config_.seed ^ kFailoverSalt, trial_index);
-  std::vector<std::size_t> fail_streak;
-  std::vector<std::uint64_t> streak_start;
-  std::vector<std::size_t> switch_count;
-  std::vector<std::uint64_t> blacklist_until;
-  if (failover_on) {
-    fail_streak.assign(n_tags, 0);
-    streak_start.assign(n_tags, 0);
-    switch_count.assign(n_tags, 0);
-    blacklist_until.assign(n_tags * n_gw, 0);
-  }
-
-  // Per-trial relaying state: each child's current parent (an index
-  // into its candidate list), per-link ETX counters, forwarding queues,
-  // and the end-to-end failure streaks that drive re-parenting. Heap
-  // vectors, not arena carves — queued payloads grow data-dependently.
-  std::vector<std::vector<QueuedFrame>> relay_queue;
-  std::vector<std::uint32_t> parent_idx;
-  std::vector<std::uint64_t> etx_attempts;
-  std::vector<std::uint64_t> etx_success;
-  std::vector<std::size_t> relay_fail_streak;
-  std::vector<std::uint64_t> relay_streak_start;
-  if (relay_on) {
-    relay_queue.resize(n_tags);
-    parent_idx.assign(n_tags, 0);
-    etx_attempts.assign(relay_topo_.num_links(), 0);
-    etx_success.assign(relay_topo_.num_links(), 0);
-    relay_fail_streak.assign(n_tags, 0);
-    relay_streak_start.assign(n_tags, 0);
-  }
-
-  // Shared per-link reflection couplings, precomputed once per trial
-  // (they are trial-constant): the composed ambient->tag->gateway
-  // coefficient of each switch position, exactly as the synthesizer
-  // folds them (h_tag->gw * Gamma(state) * h_ambient->tag, left to
-  // right). Every consumer — the analytic swing table, the per-slot
-  // batched synthesis and the escalation path — reads these tables
-  // instead of recomputing the product per (slot, tag, gateway). The
-  // static-channel cache carries them already.
-  if (!static_channel_) {
-    auto coup_on_m = arena.alloc<cf32>(n_tags * n_gw);
-    auto coup_off_m = arena.alloc<cf32>(n_tags * n_gw);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const auto& gamma = modulators_[k].states();
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        coup_on_m[k * n_gw + g] =
-            h_tr[k * n_gw + g] * gamma.gamma_reflect * h_st[k];
-        coup_off_m[k * n_gw + g] =
-            h_tr[k * n_gw + g] * gamma.gamma_absorb * h_st[k];
-      }
-    }
-    coup_on = coup_on_m;
-    coup_off = coup_off_m;
-  }
-
-  // Per-slot harvest increments of each tag in its two activity states:
-  // pure functions of the trial channel, precomputed so the energy path
-  // is table adds instead of per-(tag, slot) harvester evaluations.
-  if (!static_channel_) {
-    auto h_idle_m = arena.alloc<double>(n_tags);
-    auto h_act_m = arena.alloc<double>(n_tags);
-    for (std::size_t k = 0; k < n_tags; ++k) {
-      const double p_inc = static_cast<double>(std::norm(h_st[k]));
-      h_idle_m[k] = harvester_.harvest(p_inc * hf_idle_[k], dt);
-      h_act_m[k] = harvester_.harvest(p_inc * hf_act_[k], dt);
-    }
-    h_idle = h_idle_m;
-    h_act = h_act_m;
-  }
-
-  // Ambient carrier realisation for the whole trial, so any decode
-  // window is a pure history lookup. The analytic-only mode never
-  // touches samples; kHybrid reads it for escalated windows. Neither
-  // path consumes the trial RNG here (the source owns its seed), so
-  // skipping generation keeps modes aligned.
-  // kWaveform materialises it all upfront; kHybrid streams it lazily up
-  // to the highest sample any escalated window has needed so far (the
-  // source is sequential, so the prefix is identical either way), which
-  // keeps trials with little contention from paying for carrier
-  // synthesis at all.
-  std::span<cf32> ambient{};
-  std::size_t ambient_filled = 0;
-  if (waveform_all || hybrid) {
-    ambient = arena.alloc<cf32>(total);
+  Trial(const NetworkSimulator& s, std::uint64_t trial_index, SynthArena& a,
+        bool timed_)
+      : sim(s),
+        cfg(s.config_),
+        arena(a),
+        timed(timed_),
+        n_tags(cfg.tags.size()),
+        n_gw(s.gateway_device_.size()),
+        slots(cfg.slots_per_trial),
+        ss(s.slot_samples_),
+        total(slots * ss),
+        frame(s.frame_slots_),
+        // Decode windows reach a couple of chips past the burst (RC
+        // group delay shifts sync late by a fraction of a chip), never a
+        // full slot: a short tail keeps a back-to-back successor's
+        // preamble out of this frame's sync search.
+        tail(2 * cfg.modem.data.rates.samples_per_bit()),
+        waveform_all(cfg.fleet.fidelity == FidelityMode::kWaveform),
+        hybrid(cfg.fleet.fidelity == FidelityMode::kHybrid),
+        analytic_on(!waveform_all || cfg.fleet.record_frames),
+        relay_on(cfg.relay.enabled && s.relay_topo_.num_links() > 0),
+        notify_aborts(s.policy_->aborts_on_notify()),
+        noise_sigma(std::sqrt(cfg.noise_power_w() / 2.0)),
+        // Fault realisation (empty when injection is disabled), from a
+        // salted side substream: the main trial draws never see it.
+        fplan(s.injector_.plan(trial_index)),
+        rng(Rng::substream(cfg.seed, trial_index)),
+        source(channel::make_ambient_source(cfg.carrier, rng())),
+        ch(s.static_channel_ ? s.static_channel_->tables
+                             : draw_tables(trial_index)),
+        noise(fork_noise()),
+        wake(arena, slots, n_tags),
+        rt(open_tags()),
+        failover(cfg, n_gw, trial_index, ch, arena),
+        relay(s.relay_topo_, cfg.relay, relay_on, n_tags),
+        acct(cfg.payload_bytes, frame, fplan, rt, failover, relay, res),
+        energy(EnergySteps(cfg, ch, s.slot_seconds(), rt, res.tags), arena,
+               s.static_channel_ ? std::span<const double>(
+                                       s.static_channel_->idle_sum)
+                                 : std::span<const double>{}),
+        window(arena, n_tags, analytic_on ? n_gw : 0, slots),
+        synth(arena, waveform_all || hybrid, n_tags, ss, ch, noise, fplan),
+        esc(arena, hybrid, n_tags, n_gw, slots, ss,
+            frame + 1 + (tail + ss - 1) / ss),
+        gw_verdict(n_gw, LinkVerdict::kClearFail),
+        gw_margin(n_gw, -std::numeric_limits<double>::infinity()) {
+    res.tags.resize(n_tags);
+    res.gateway_decodes.resize(n_gw);
+    res.slots = slots;
+    active.reserve(n_tags);
+    // Ambient carrier for the whole trial, so any decode window is a
+    // pure history lookup. kWaveform generates it upfront; kHybrid
+    // streams it lazily up to the highest sample an escalated window has
+    // needed (the source is sequential and owns its seed, so the prefix
+    // is identical either way); kAnalytic never touches samples.
+    if (waveform_all || hybrid) ambient = arena.alloc<cf32>(total);
     if (waveform_all) {
       source->generate(ambient);
       ambient_filled = total;
-    }
-  }
-  const auto ensure_ambient = [&](std::size_t hi_sample) {
-    if (hi_sample > ambient_filled) {
-      source->generate(ambient.subspan(ambient_filled,
-                                       hi_sample - ambient_filled));
-      ambient_filled = hi_sample;
-    }
-  };
-
-  // Per-gateway receive chains: AWGN (one fork per gateway, in index
-  // order — forked in every mode to keep downstream MAC draws aligned),
-  // RC envelope state carried across slots, and a full-trial envelope
-  // history each. Trivially-destructible objects are
-  // placement-constructed into arena scratch. In kHybrid the AWGN forks
-  // are consumed by escalated windows instead of per-slot synthesis.
-  auto noise = arena.alloc<channel::AwgnChannel>(n_gw);
-  static_assert(std::is_trivially_destructible_v<channel::AwgnChannel>);
-  static_assert(std::is_trivially_destructible_v<dsp::EnvelopeDetector>);
-  const double noise_power = config_.noise_power_w();
-  for (std::size_t g = 0; g < n_gw; ++g) {
-    std::construct_at(&noise[g], noise_power, rng.fork());
-  }
-  std::span<dsp::EnvelopeDetector> envelopes{};
-  std::span<float> env_buf{};
-  std::span<cf32> rx_slot{};
-  if (waveform_all) {
-    envelopes = arena.alloc<dsp::EnvelopeDetector>(n_gw);
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      std::construct_at(&envelopes[g], synth_.make_envelope());
-    }
-    env_buf = arena.alloc_zeroed<float>(n_gw * total);
-    rx_slot = arena.alloc<cf32>(n_gw * slot_samples_);
-  }
-
-  // Cross-entity slot-synthesis scratch (kWaveform slots and kHybrid
-  // escalations both run the fused per-gateway kernel): the per-slot
-  // entity mask pointers, the compacted coupling pair of each entity at
-  // the gateway being synthesized, and the coefficient accumulator.
-  // Preallocated per trial so the arena's capacity stays warm-stable.
-  std::span<const std::uint8_t*> mask_ptrs{};
-  std::span<cf32> slot_on{};
-  std::span<cf32> slot_off{};
-  std::span<cf32> coeff_scratch{};
-  if (waveform_all || hybrid) {
-    mask_ptrs = arena.alloc<const std::uint8_t*>(n_tags);
-    slot_on = arena.alloc<cf32>(n_tags);
-    slot_off = arena.alloc<cf32>(n_tags);
-    coeff_scratch = arena.alloc<cf32>(slot_samples_);
-  }
-
-  // Analytic fast path: per-trial envelope swing of every (tag,
-  // gateway) link — exact for the block-static channel — in SoA layout
-  // (`delta` feeds the classifier, `half` is the in-range-masked
-  // half-swing the interference fold adds). The reference engine keeps
-  // the historical per-(gateway, slot) interference-sum rows; the
-  // active engine instead folds a running per-(tag, gateway) segment
-  // max while the frame is on air, so resolving a frame stops
-  // rescanning its whole slot window (max is exact and
-  // order-independent, hence bit-identical).
-  std::span<float> i_sum{};
-  std::span<float> i_max{};
-  if (analytic_on) {
-    if (!static_channel_) {
-      auto delta_m = arena.alloc<float>(n_tags * n_gw);
-      auto half_m = arena.alloc<float>(n_tags * n_gw);
-      for (std::size_t i = 0; i < n_tags * n_gw; ++i) {
-        const std::size_t g = i % n_gw;
-        delta_m[i] = static_cast<float>(
-            envelope_swing(h_sr[g], coup_on[i], coup_off[i]));
-        half_m[i] = in_range_[i] ? 0.5f * delta_m[i] : 0.0f;
-      }
-      delta = delta_m;
-      half = half_m;
-    }
-    if constexpr (ActiveSet) {
-      i_max = arena.alloc<float>(n_tags * n_gw);  // rows zeroed per frame
-    } else {
-      i_sum = arena.alloc_zeroed<float>(n_gw * slots);
+      // Per-gateway RC envelope state carried across slots, plus a
+      // full-trial envelope history each.
+      envelopes = arena.alloc<dsp::EnvelopeDetector>(n_gw);
+      for (auto& e : envelopes) std::construct_at(&e, s.synth_.make_envelope());
+      env_buf = arena.alloc_zeroed<float>(n_gw * total);
+      rx_slot = arena.alloc<cf32>(n_gw * ss);
     }
   }
 
-  // Hybrid frame log: who was on air when, so an escalated window can
-  // re-synthesize exactly the slots it needs. Amortised std::vectors,
-  // deliberately not arena carves — escalation demand is data-dependent
-  // and mid-trial, which would defeat the arena's capacity-stability
-  // contract.
-  std::vector<FrameLog> frame_log;
-  std::vector<std::uint32_t> slot_frames;
-  std::vector<std::uint32_t> slot_frames_off;
-  // Escalation slot cache: the noisy synthesized receive history per
-  // (gateway, slot), built lazily the first time any escalated window
-  // touches the slot and shared by every later escalation — contested
-  // frames overlap heavily in dense scenes, and without the cache each
-  // one would re-synthesize the same busy slots (and draw fresh noise
-  // for them, unlike the waveform path where overlapping frames see one
-  // noise realisation). A slot is final once built: every frame that
-  // can overlap it is already in the log when the first escalation
-  // reaches it, because escalations run at verdict time, after the
-  // escalating frame's window has fully elapsed.
-  //
-  // Storage is chunk-lazy: instead of carving n_gw x total samples up
-  // front (which dominated the arena footprint of escalation-free 10k
-  // trials), each (gateway, run-of-kEscChunkSlots-slots) chunk is
-  // carved from the arena the first time an escalation touches it. A
-  // decode window may straddle chunks, so escalations gather their
-  // window into the contiguous `esc_win` scratch before the envelope
-  // stage — a memcpy of identical sample values, hence bit-identical
-  // verdicts. Escalation demand is deterministic per trial, so the
-  // arena's high-water capacity is replay-stable (pinned by
-  // tests/sim/synthesis_test.cpp).
-  constexpr std::size_t kEscChunkSlots = 4;
-  const std::size_t esc_chunks_per_gw =
-      (slots + kEscChunkSlots - 1) / kEscChunkSlots;
-  std::span<cf32*> esc_chunks{};
-  std::span<std::uint8_t> esc_built{};
-  std::span<cf32> esc_win{};
-  std::span<float> esc_env{};
-  if (hybrid) {
-    frame_log.reserve(n_tags);
-    slot_frames_off.assign(slots + 1, 0);
-    esc_chunks = arena.alloc<cf32*>(n_gw * esc_chunks_per_gw);
-    std::fill(esc_chunks.begin(), esc_chunks.end(), nullptr);
-    esc_built = arena.alloc_zeroed<std::uint8_t>(n_gw * slots);
-    // A decode window spans at most frame_slots_ + 1 + ceil(tail/slot)
-    // slots (one warm-up slot before the burst, the sync tail after).
-    const std::size_t tail = 2 * config_.modem.data.rates.samples_per_bit();
-    const std::size_t win_slots =
-        frame_slots_ + 1 + (tail + slot_samples_ - 1) / slot_samples_;
-    esc_win = arena.alloc<cf32>(win_slots * slot_samples_);
-    esc_env = arena.alloc<float>(win_slots * slot_samples_);
-  }
-  const auto esc_slot_ptr = [&](std::size_t g, std::size_t s) -> cf32* {
-    cf32*& chunk = esc_chunks[g * esc_chunks_per_gw + s / kEscChunkSlots];
-    if (chunk == nullptr) {
-      chunk = arena.alloc<cf32>(kEscChunkSlots * slot_samples_).data();
-    }
-    return chunk + (s % kEscChunkSlots) * slot_samples_;
-  };
-  std::vector<std::size_t> esc_order;
-  // Escalated-demod memo: colliding frames that started in the same
-  // slot share the identical decode window at a gateway (the window
-  // bounds derive from start_slot alone and the cached samples never
-  // change once built), so the receiver output is the same — only the
-  // per-tag payload comparison differs. First escalation at a
-  // (gateway, start_slot) runs the demodulator and stores the result;
-  // cluster peers reuse it bit-for-bit.
-  struct EscDemod {
-    std::uint32_t g;
-    std::uint64_t start;
-    core::FdRxResult r;
-  };
-  std::vector<EscDemod> esc_demod;
-  std::vector<LinkVerdict> gw_verdict(n_gw, LinkVerdict::kClearFail);
-  std::vector<double> gw_margin(
-      n_gw, -std::numeric_limits<double>::infinity());
-
-  // Decode windows reach a couple of chips past the burst (RC group
-  // delay shifts sync late by a fraction of a chip), never a full slot:
-  // keeping the tail short stops a back-to-back successor frame's
-  // preamble from entering this frame's sync search.
-  const auto& rates = config_.modem.data.rates;
-  const std::size_t tail_samples = 2 * rates.samples_per_bit();
-
-  // MAC setup: the policy hands out the trial-opening waits and every
-  // later one; contention policies draw from the trial Rng in the
-  // identical order the pre-extraction loop did, the scheduled policy
-  // computes cell distances without touching it.
-  std::vector<TagRt> rt;
-  rt.reserve(n_tags);
-  for (std::size_t k = 0; k < n_tags; ++k) {
-    rt.emplace_back(config_.storage, config_.power);
-    rt[k].counter = policy_->initial_wait(k, rt[k].mac, rng);
+  ChannelTables draw_tables(std::uint64_t trial_index) {
+    auto fading = channel::make_fading(cfg.fading, rng);
+    return build_channel_tables(sim.channel_inputs(),
+                                {fading.get(), &rng, trial_index}, arena);
   }
 
-  // Wake-slot buckets (active engine): a pending MAC counter becomes
-  // one scheduled wake event in a per-slot intrusive list — headA holds
-  // backoff expiries, headD verdict-wait expiries, and every tag sits
-  // in at most one list (it holds exactly one counter at a time), so
-  // one shared `next` array links both. Fired lists are collected and
-  // sorted ascending before processing, which reproduces the reference
-  // engine's ascending-k scan order — and therefore its RNG draw order
-  // — exactly. Counters whose expiry lands past the trial are simply
-  // not scheduled (the reference's countdown never reaches zero
-  // in-trial either).
-  constexpr std::uint32_t kNilTag = 0xffffffffu;
-  std::span<std::uint32_t> headA{}, headD{}, bucket_next{}, fired{};
-  std::span<std::uint32_t> e_next{};  // first slot w/ unapplied energy
-  if constexpr (ActiveSet) {
-    headA = arena.alloc<std::uint32_t>(slots);
-    headD = arena.alloc<std::uint32_t>(slots);
-    std::fill(headA.begin(), headA.end(), kNilTag);
-    std::fill(headD.begin(), headD.end(), kNilTag);
-    bucket_next = arena.alloc<std::uint32_t>(n_tags);
-    fired = arena.alloc<std::uint32_t>(n_tags);
-    e_next = arena.alloc<std::uint32_t>(n_tags);
-    std::fill(e_next.begin(), e_next.end(), 0u);
+  std::span<channel::AwgnChannel> fork_noise() {
+    static_assert(std::is_trivially_destructible_v<channel::AwgnChannel>);
+    static_assert(std::is_trivially_destructible_v<dsp::EnvelopeDetector>);
+    auto forks = arena.alloc<channel::AwgnChannel>(n_gw);
+    const double noise_power = cfg.noise_power_w();
+    for (auto& n : forks) std::construct_at(&n, noise_power, rng.fork());
+    return forks;
   }
-  const auto schedule = [&](std::span<std::uint32_t> heads, std::size_t k,
-                            std::uint64_t fire_slot) {
-    if (fire_slot >= slots) return;
-    bucket_next[k] = heads[fire_slot];
-    heads[fire_slot] = static_cast<std::uint32_t>(k);
-  };
-  if constexpr (ActiveSet) {
+
+  /// Per-tag runtime state; the policy hands out the trial-opening waits
+  /// (contention policies draw them from the trial Rng in tag order).
+  std::vector<TagRt> open_tags() {
+    std::vector<TagRt> tags;
+    tags.reserve(n_tags);
     for (std::size_t k = 0; k < n_tags; ++k) {
-      // An initial counter c is examined from slot 0 with the
-      // `counter == 0 || --counter == 0` convention: c <= 1 fires at
-      // slot 0, otherwise at slot c - 1.
-      const std::size_t c = rt[k].counter;
-      schedule(headA, k, c <= 1 ? 0 : static_cast<std::uint64_t>(c) - 1);
+      tags.emplace_back(cfg.storage, cfg.power);
+      wake.arm(WakeBuckets::kBackoff, k, 0,
+               sim.policy_->initial_wait(k, tags[k].mac, rng));
     }
+    return tags;
   }
 
-  const auto redraw_wait = [&](std::size_t k, std::uint64_t slot) {
-    rt[k].counter = policy_->next_wait(k, slot, rt[k].mac, rng);
-    if constexpr (ActiveSet) {
-      // A wait assigned while processing slot s is first examined at
-      // s + 1, so it fires at s + max(c, 1).
-      schedule(headA, k,
-               slot + std::max<std::uint64_t>(rt[k].counter, 1));
-    }
-  };
+  void redraw_wait(std::size_t k, std::uint64_t slot) {
+    wake.arm(WakeBuckets::kBackoff, k, slot + 1,
+             sim.policy_->next_wait(k, slot, rt[k].mac, rng));
+  }
 
-  // Energy bookkeeping. One slot of the recurrence, split by activity
-  // state — the reference engine applies one of these to every tag
-  // every slot; the active engine applies the active step to on-air
-  // tags only and fast-forwards idle spans (ff_idle replays the exact
-  // same per-slot sequence, so storage clamps, leak ticks, ledger adds
-  // and draw failures land bit-identically; e_next[k] is the first slot
-  // whose recurrence has not been applied yet).
-  const auto idle_step = [&](std::size_t k) {
-    res.tags[k].harvested_j += h_idle[k];
-    if (!config_.energy_gating) return;
-    TagRt& tag = rt[k];
-    tag.storage.charge(h_idle[k]);
-    tag.storage.tick(dt);
-    tag.ledger.spend(energy::TagState::kListening, dt);
-    // A failed draw while merely listening drains the store but is not
-    // an outage event — only gated starts and mid-frame brownouts
-    // count, per the NetworkTagStats contract.
-    tag.storage.draw(config_.power.power(energy::TagState::kListening) * dt);
-  };
-  const auto active_step = [&](std::size_t k) {
-    res.tags[k].harvested_j += h_act[k];
-    if (!config_.energy_gating) return;
-    TagRt& tag = rt[k];
-    tag.storage.charge(h_act[k]);
-    tag.storage.tick(dt);
-    tag.ledger.spend(energy::TagState::kBackscattering, dt);
-    if (!tag.storage.draw(
-            config_.power.power(energy::TagState::kBackscattering) * dt)) {
-      ++res.tags[k].energy_outages;
-      tag.brownout_now = true;
-    }
-  };
-  const auto ff_idle = [&](std::size_t k, std::uint64_t upto) {
-    if constexpr (ActiveSet) {
-      for (std::uint64_t s = e_next[k]; s < upto; ++s) idle_step(k);
-      e_next[k] = static_cast<std::uint32_t>(upto);
-    }
-  };
-
-  const bool fd = policy_->aborts_on_notify();
-  std::uint64_t idle_wait_slots = 0;
-  std::size_t n_waiting = 0;  // tags in WaitVerdict (active engine)
-  std::vector<std::size_t> active;
-  active.reserve(n_tags);
-
-  // Worst-case concurrent interference a frame of tag k saw at gateway
-  // g: the max over its on-air slots of the in-range active half-swing
-  // sum, minus the tag's own contribution. Under faults i_sum already
-  // carries the per-slot fault scaling plus attenuated interferer
-  // envelopes; the own-share subtraction then uses the *minimum* window
-  // scale — subtracting the least the tag could have contributed keeps
-  // the residual an over-estimate, which is the safe side for the
-  // one-sided classifier.
-  const auto worst_interference = [&](std::size_t k, std::size_t g) {
-    const TagRt& tag = rt[k];
-    float worst = 0.0f;
-    if constexpr (ActiveSet) {
-      // The per-busy-slot segment max folded while the frame was on
-      // air: a frame is active over exactly [start, start + frame)
-      // slots, so the running max covers the identical window the
-      // reference scan does (max is exact — same bits, no rescan).
-      worst = i_max[k * n_gw + g];
-    } else {
-      const float* row = &i_sum[g * slots];
-      for (std::uint64_t s = tag.start_slot;
-           s < tag.start_slot + frame_slots_; ++s) {
-        worst = std::max(worst, row[s]);
-      }
-    }
-    double own = in_range_[k * n_gw + g]
-                     ? 0.5 * static_cast<double>(delta[k * n_gw + g])
-                     : 0.0;
-    if (has_faults) {
-      own *= fplan.min_signal_scale(g, tag.start_slot,
-                                    tag.start_slot + frame_slots_);
-    }
-    return std::max(0.0, static_cast<double>(worst) - own);
-  };
-
-  // Rewrites a frame's zero-padded antenna states for the transmitting
-  // tag's own hardware fault: a stuck switch pins every sample of the
-  // fault-covered slots to the jammed position; oscillator drift shifts
-  // the whole burst by the skew accumulated since fault onset (the
-  // receiver's sync search absorbs the shift until the burst overruns
-  // its decode window). Shared by kWaveform modulation and the lazy
-  // escalation-log modulation so both fidelity paths synthesize the
-  // identical faulted waveform.
-  const auto apply_tag_fault_states = [&](std::uint32_t k,
-                                          std::uint64_t start_slot,
-                                          std::vector<std::uint8_t>& states) {
-    const TagFault* f = fplan.tag_fault(k);
-    if (f == nullptr) return;
-    if (f->stuck) {
-      const std::int64_t lo =
-          std::max<std::int64_t>(f->start_slot,
-                                 static_cast<std::int64_t>(start_slot));
-      const std::int64_t hi = std::min<std::int64_t>(
-          f->end_slot, static_cast<std::int64_t>(start_slot + frame_slots_));
-      if (lo >= hi) return;
-      const std::size_t a =
-          static_cast<std::size_t>(lo - static_cast<std::int64_t>(start_slot)) *
-          slot_samples_;
-      const std::size_t b =
-          static_cast<std::size_t>(hi - static_cast<std::int64_t>(start_slot)) *
-          slot_samples_;
-      std::fill(states.begin() + static_cast<std::ptrdiff_t>(a),
-                states.begin() + static_cast<std::ptrdiff_t>(b),
-                f->stuck_state);
+  /// Phase A body: tag k's backoff expired at `slot`.
+  void try_start(std::size_t k, std::uint64_t slot) {
+    // Frames that cannot fully resolve inside the trial are not started:
+    // the tag parks on a wait that runs off the end of the trial.
+    if (slot + frame + 2 > slots) {
+      wake.arm(WakeBuckets::kBackoff, k, slot + 1, slots);
       return;
     }
-    const std::size_t shift = fplan.drift_shift_samples(
-        k, static_cast<std::int64_t>(start_slot));
-    if (shift == 0) return;
+    energy.sync(k, slot);  // gating reads storage: bring it current
+    if (cfg.energy_gating && rt[k].storage.level_j() < sim.frame_cost_j_) {
+      ++res.tags[k].energy_outages;
+      redraw_wait(k, slot);
+      return;
+    }
+    start_frame(k, slot);
+    active.insert(std::lower_bound(active.begin(), active.end(), k), k);
+    if (analytic_on) window.start(k);
+  }
+
+  void start_frame(std::size_t k, std::uint64_t slot) {
+    TagRt& tag = rt[k];
+    tag.st = TagRt::St::kTx;
+    tag.progress = 0;
+    tag.start_slot = slot;
+    tag.overlapped = false;
+    tag.forwarding = relay_on && !relay.queue[k].empty();
+    if (tag.forwarding) {
+      // Forwarding outranks fresh traffic — the queued frame is older.
+      // No payload draw: the scheduled MAC never touches the trial Rng
+      // either, so the draw sequence is a pure function of the queue
+      // evolution.
+      QueuedFrame f = std::move(relay.queue[k].front());
+      relay.queue[k].erase(relay.queue[k].begin());
+      tag.fwd_originator = f.originator;
+      tag.fwd_hops = f.hops;
+      tag.payload = std::move(f.payload);
+      ++res.relay_tx_frames;
+    } else {
+      ++res.tags[k].frames_attempted;
+      tag.payload.resize(cfg.payload_bytes);
+      for (auto& byte : tag.payload) {
+        byte = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+    }
+    // Antenna states are only modulated where samples are needed:
+    // per-slot synthesis (kWaveform) now, escalated windows (kHybrid)
+    // lazily from the frame log, never in kAnalytic.
+    const auto k32 = static_cast<std::uint32_t>(k);
+    if (waveform_all) {
+      tag.states = frame_states(k32, slot, tag.payload);
+    } else if (hybrid) {
+      tag.frame_id = esc.log(k32, slot, tag.payload);
+    }
+  }
+
+  /// Modulated antenna states of a frame, zero-padded to whole slots (0 =
+  /// absorb, i.e. "frame ended mid-slot") so every slot of the frame is a
+  /// plain pointer view for the slot kernel, then rewritten for the
+  /// tag's own hardware fault: a stuck switch pins the fault-covered
+  /// slots to the jammed position; oscillator drift shifts the burst by
+  /// the skew accumulated since fault onset.
+  std::vector<std::uint8_t> frame_states(
+      std::uint32_t k, std::uint64_t start,
+      const std::vector<std::uint8_t>& payload) const {
+    std::vector<std::uint8_t> states = sim.tx_.modulate(payload);
+    states.resize(frame * ss, 0);
+    const TagFault* f = fplan.any() ? fplan.tag_fault(k) : nullptr;
+    if (f == nullptr) return states;
+    const auto start_i = static_cast<std::int64_t>(start);
+    if (f->stuck) {
+      const std::int64_t lo = std::max<std::int64_t>(f->start_slot, start_i);
+      const std::int64_t hi = std::min<std::int64_t>(
+          f->end_slot, start_i + static_cast<std::int64_t>(frame));
+      const auto ss_i = static_cast<std::int64_t>(ss);
+      if (lo < hi) {
+        std::fill(states.begin() + (lo - start_i) * ss_i,
+                  states.begin() + (hi - start_i) * ss_i, f->stuck_state);
+      }
+      return states;
+    }
+    const std::size_t shift = fplan.drift_shift_samples(k, start_i);
     if (shift >= states.size()) {
       std::fill(states.begin(), states.end(), std::uint8_t{0});
-      return;
+    } else if (shift > 0) {
+      states.insert(states.begin(), shift, std::uint8_t{0});
+      states.resize(frame * ss);
     }
-    states.insert(states.begin(), shift, std::uint8_t{0});
-    states.resize(frame_slots_ * slot_samples_);
-  };
+    return states;
+  }
 
-  // In-place fault transform of one synthesized gateway-slot, applied
-  // between the fused slot kernel and the AWGN stage: the carrier sag
-  // scales every ambient-derived component (leakage and backscatter are
-  // both linear in the carrier, so post-scaling the clean sum is exact),
-  // burst-interferer tones arrive over the air, and the gateway
-  // attenuation then scales everything reaching the faulted front end —
-  // receiver noise stays unscaled.
-  const auto apply_slot_faults = [&](std::size_t g, std::size_t slot,
-                                     std::span<cf32> samples) {
-    const float cs = fplan.carrier_scale(slot);
-    if (cs != 1.0f) {
-      for (auto& v : samples) v *= cs;
+  /// kWaveform slot synthesis: each on-air tag's mask block for this
+  /// slot is resolved once, then every gateway runs its chain and RC
+  /// envelope stage into the trial history.
+  void synthesize_slot(std::uint64_t slot) {
+    const std::size_t base = static_cast<std::size_t>(slot) * ss;
+    const auto carrier = std::span<const cf32>(ambient).subspan(base, ss);
+    for (std::size_t e = 0; e < active.size(); ++e) {
+      const TagRt& tag = rt[active[e]];
+      synth.masks[e] = tag.states.data() + (slot - tag.start_slot) * ss;
+      synth.tags[e] = static_cast<std::uint32_t>(active[e]);
     }
-    fplan.add_interferers(g, slot, samples);
-    const float a = fplan.gateway_atten(g, slot);
-    if (a != 1.0f) {
-      for (auto& v : samples) v *= a;
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      const auto out = rx_slot.subspan(g * ss, ss);
+      synth.run(g, slot, active.size(), carrier, out);
+      envelopes[g].process(out, env_buf.subspan(g * total + base, ss));
     }
-  };
+    res.gateway_slots_synthesized += n_gw;
+  }
 
-  // Resilience attribution of one resolved or aborted frame: exposure
-  // is judged over the frame's on-air window at the gateways the
-  // combining policy listens to. Failed-and-exposed frames tally into
-  // every fault class whose window touched them (exposure, not causal
-  // attribution — see NetworkTrialResult).
-  const auto classify_fault_loss = [&](std::size_t k, bool delivered) {
+  /// Per-gateway in-range half-swing sum of the on-air tags, folded into
+  /// the interference window. Under faults the sum mirrors the synthesis
+  /// transform: half swings scale with the carrier sag and the gateway
+  /// attenuation, and burst-interferer envelopes arrive over the air.
+  void fold_interference(std::uint64_t slot) {
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      float sum = 0.0f;
+      for (const std::size_t k : active) {
+        if (sim.in_range_[k * n_gw + g]) sum += ch.half[k * n_gw + g];
+      }
+      if (fplan.any()) {
+        sum = sum * fplan.signal_scale(g, slot) +
+              fplan.interferer_env(g, slot) * fplan.gateway_atten(g, slot);
+      }
+      window.record(g, slot, sum, active);
+    }
+  }
+
+  /// Whether tag k's collision notification has arrived by `slot`. A
+  /// gateway only notifies if it was alive to *detect* the overlap: an
+  /// outage then silences it, and the tag keeps burning the collided
+  /// frame until a healthy gateway's (possibly slower) notification
+  /// arrives — the failure mode dead-gateway failover responds to.
+  bool notified(std::size_t k, std::uint64_t slot) const {
     const TagRt& tag = rt[k];
-    const std::size_t lo = tag.start_slot;
-    const std::size_t hi = tag.start_slot + frame_slots_;
-    const bool sag = fplan.window_has_sag(lo, hi);
-    bool outage = false;
-    bool interf = false;
+    if (!notify_aborts || !tag.overlapped) return false;
+    const std::uint64_t waited = slot - tag.overlap_start + 1;
+    if (!fplan.any()) return waited >= sim.notify_slots_[k];
     for (std::size_t g = 0; g < n_gw; ++g) {
-      const bool relevant = config_.combining == GatewayCombining::kAnyGateway ||
-                            g == serving_now[k];
-      if (!relevant) continue;
-      outage = outage || fplan.window_has_outage(g, lo, hi);
-      interf = interf || fplan.window_has_interference(g, lo, hi);
-    }
-    const TagFault* f = fplan.tag_fault(static_cast<std::uint32_t>(k));
-    const bool tagf = f != nullptr &&
-                      f->start_slot < static_cast<std::int64_t>(hi) &&
-                      f->end_slot > static_cast<std::int64_t>(lo);
-    if (!(sag || outage || interf || tagf)) return;
-    ++res.faulted_frames_attempted;
-    if (delivered) {
-      ++res.faulted_frames_delivered;
-      return;
-    }
-    if (outage) ++res.frames_lost_outage;
-    if (sag) ++res.frames_lost_sag;
-    if (interf) ++res.frames_lost_interference;
-    if (tagf) ++res.frames_lost_tag_fault;
-  };
-
-  // Failover bookkeeping after a frame outcome: a delivery clears the
-  // streak; a failure extends it, and hitting the threshold blacklists
-  // the serving gateway for a jittered capped-exponential holdoff and
-  // re-selects the best non-blacklisted link.
-  const auto note_frame_outcome = [&](std::size_t k, bool delivered,
-                                      std::uint64_t learn_slot) {
-    if (!failover_on) return;
-    TagRt& tag = rt[k];
-    if (delivered) {
-      fail_streak[k] = 0;
-      switch_count[k] = 0;
-      return;
-    }
-    if (fail_streak[k] == 0) streak_start[k] = tag.start_slot;
-    if (++fail_streak[k] < config_.failover_streak_frames) return;
-    const std::size_t old_g = serving_now[k];
-    const std::size_t holdoff = mac::failover_holdoff_slots(
-        failover_rng, config_.failover_holdoff_slots, switch_count[k],
-        config_.failover_max_exponent);
-    blacklist_until[k * n_gw + old_g] = learn_slot + 1 + holdoff;
-    std::size_t best = old_g;
-    float best_mag = -1.0f;
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      if (blacklist_until[k * n_gw + g] > learn_slot) continue;
-      const float mag = std::abs(h_tr[k * n_gw + g]);
-      if (mag > best_mag) {
-        best_mag = mag;
-        best = g;
+      if (waited >= sim.notify_pg_[k * n_gw + g] &&
+          fplan.gateway_alive(g, tag.overlap_start)) {
+        return true;
       }
     }
-    if (best != old_g) {
-      serving_now[k] = best;
-      ++res.failovers;
-      res.time_to_failover_slots.add(
-          static_cast<double>(learn_slot - streak_start[k] + 1));
-      ++switch_count[k];
-    }
-    fail_streak[k] = 0;
-  };
+    return false;
+  }
 
-  // End-to-end relay feedback: every loss of an originator's frame
-  // past its own transmission — a failed hop, a full or dying relay
-  // upstream, a forward lost at the gateway — extends its streak (the
-  // implicit missing end-to-end ACK a real mesh would observe).
-  // Hitting the threshold re-parents onto the smoothed-ETX-best
-  // candidate; the switch lands in the same failover stats the gateway
-  // machine feeds, which is how a gateway outage shows up as relay
-  // rerouting.
-  // `charge_link` marks losses the child's own hop bookkeeping has not
-  // already counted (anything past its transmission): they land as a
-  // failed attempt on the child's *current* link, so a dead upstream
-  // degrades the link's smoothed ETX even while the first hop itself
-  // keeps succeeding — otherwise re-parenting could never route around
-  // a gateway outage two hops away.
-  const auto charge_relay_failure = [&](std::uint32_t o,
-                                        std::uint64_t learn_slot,
-                                        bool charge_link) {
-    if (charge_link) ++etx_attempts[relay_topo_.link_offset(o) + parent_idx[o]];
-    if (relay_fail_streak[o] == 0) relay_streak_start[o] = learn_slot;
-    if (++relay_fail_streak[o] < config_.relay.reparent_fail_streak) return;
-    const auto cands = relay_topo_.candidates(o);
-    const std::size_t off = relay_topo_.link_offset(o);
-    std::size_t best = parent_idx[o];
-    double best_etx = std::numeric_limits<double>::infinity();
-    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-      const double etx = static_cast<double>(etx_attempts[off + ci] + 1) /
-                         static_cast<double>(etx_success[off + ci] + 1);
-      if (etx < best_etx) {
-        best_etx = etx;
-        best = ci;
+  /// Phase C: transmission progress, overlap, aborts, frame ends. The
+  /// on-air list is compacted in place, keeping its ascending order.
+  void advance_frames(std::uint64_t slot) {
+    const bool collision_now = active.size() >= 2;
+    std::size_t keep = 0;
+    for (std::size_t ai = 0, n = active.size(); ai < n; ++ai) {
+      const std::size_t k = active[ai];
+      TagRt& tag = rt[k];
+      ++tag.progress;
+      if (collision_now && !tag.overlapped) {
+        tag.overlapped = true;
+        tag.overlap_start = slot;
       }
+      // Storage emptied under the switch drive (the frame dies on air),
+      // or the earliest gateway's notification arrived: abort now.
+      const bool brownout = std::exchange(tag.brownout_now, false);
+      if (brownout || notified(k, slot)) {
+        acct.settle(k, slot,
+                    brownout ? Outcome::kBrownout : Outcome::kNotifyAbort);
+        if (!brownout) sim.policy_->on_notify_abort(k, tag.mac);
+        tag.st = TagRt::St::kBackoff;
+        redraw_wait(k, slot);
+        continue;
+      }
+      if (tag.progress >= frame) {
+        // Fully on air. The policy decides the drain: one slot for the
+        // final block verdict (notify / scheduled), the ACK timeout for
+        // the timeout MAC.
+        tag.st = TagRt::St::kWaitVerdict;
+        wake.arm(WakeBuckets::kVerdict, k, slot + 1,
+                 sim.policy_->verdict_wait_slots());
+        ++n_waiting;
+        continue;
+      }
+      active[keep++] = k;
     }
-    if (best != parent_idx[o]) {
-      parent_idx[o] = static_cast<std::uint32_t>(best);
-      ++res.failovers;
-      res.time_to_failover_slots.add(
-          static_cast<double>(learn_slot - relay_streak_start[o] + 1));
-    }
-    relay_fail_streak[o] = 0;
-  };
+    active.resize(keep);
+  }
 
-  // Resolves a relay child's completed frame against its current parent
-  // link: the hop delivers iff the frame stayed clean on air and the
-  // tag-tag envelope swing clears the analytic margin floor — one rule
-  // in every fidelity mode, since no sample-level receiver exists at a
-  // tag. A delivered hop lands the frame in the parent's forwarding
-  // queue; the parent re-reflects it in its own slotframe cell.
-  const double hop_noise_sigma = std::sqrt(config_.noise_power_w() / 2.0);
-  const auto resolve_hop = [&](std::size_t k, std::uint64_t learn_slot,
-                               bool update_mac) {
+  /// Resolves tag k's completed frame; `learn_slot` is when the
+  /// transmitter hears the outcome. Also the verdict stage-timing
+  /// boundary (escalation is carved out inside escalate()).
+  void resolve_frame(std::size_t k, std::uint64_t learn_slot, bool update_mac) {
+    const auto t0 = timed ? Clock::now() : Clock::time_point{};
+    if (relay_on && sim.relay_topo_.reachable(k) &&
+        sim.relay_topo_.level(k) >= 1) {
+      resolve_hop(k, learn_slot, update_mac);
+    } else {
+      resolve_verdict(k, learn_slot, update_mac);
+    }
+    if (timed) verdict_s += seconds_since(t0);
+  }
+
+  /// A relay child's frame against its current parent link: the hop
+  /// delivers iff the frame stayed clean on air and the tag-tag swing
+  /// clears the analytic margin floor — one rule in every fidelity mode,
+  /// since no sample-level receiver exists at a tag. A delivered hop
+  /// lands in the parent's forwarding queue.
+  void resolve_hop(std::size_t k, std::uint64_t learn_slot, bool update_mac) {
     TagRt& tag = rt[k];
-    const std::size_t off = relay_topo_.link_offset(k);
-    const std::size_t ci = parent_idx[k];
-    const std::uint32_t parent = relay_topo_.candidates(k)[ci];
-    ++etx_attempts[off + ci];
+    const std::size_t link = relay.link(k);
+    const std::uint32_t parent = sim.relay_topo_.candidates(k)[relay.parent[k]];
+    ++relay.etx_attempts[link];
     const double margin = analytic_margin_db(
-        delta_tt[off + ci], 0.0, hop_noise_sigma, rates.samples_per_chip,
-        fleet.analytic_target_ber);
-    const bool success =
-        !tag.overlapped && margin >= config_.relay.min_margin_db;
-    if (update_mac) policy_->on_outcome(k, success, tag.mac);
+        ch.delta_tt[link], 0.0, noise_sigma,
+        cfg.modem.data.rates.samples_per_chip, cfg.fleet.analytic_target_ber);
+    const bool success = !tag.overlapped && margin >= cfg.relay.min_margin_db;
+    if (update_mac) sim.policy_->on_outcome(k, success, tag.mac);
+    if (!success) {
+      acct.settle(k, learn_slot, Outcome::kHopFailed);
+      return;
+    }
+    ++relay.etx_success[link];
     const std::uint32_t originator =
         tag.forwarding ? tag.fwd_originator : static_cast<std::uint32_t>(k);
-    if (success) {
-      ++etx_success[off + ci];
-      if (relay_queue[parent].size() < config_.relay.queue_capacity) {
-        relay_queue[parent].push_back(
-            {originator, tag.forwarding ? tag.fwd_hops + 1 : 1, tag.payload});
-        ++res.relay_rx_frames;
-        res.useful_slots += frame_slots_;
-      } else {
-        ++res.relay_drops;
-        charge_relay_failure(originator, learn_slot, /*charge_link=*/true);
-      }
-      return;
-    }
-    if (tag.forwarding) {
-      ++res.relay_drops;
-      charge_relay_failure(originator, learn_slot, /*charge_link=*/true);
-      return;
-    }
-    if (tag.overlapped) {
-      ++res.tags[k].frames_collided;
-      ++res.collisions;
-      res.detect_latency_slots.add(
-          static_cast<double>(learn_slot - tag.overlap_start + 1));
+    if (relay.queue[parent].size() < cfg.relay.queue_capacity) {
+      relay.queue[parent].push_back(
+          {originator, tag.forwarding ? tag.fwd_hops + 1 : 1, tag.payload});
+      ++res.relay_rx_frames;
+      res.useful_slots += frame;
     } else {
-      ++res.sync_failures;
+      ++res.relay_drops;
+      relay.charge_failure(originator, learn_slot, /*charge_link=*/true, res);
     }
-    // The failed hop was already recorded on the link above.
-    charge_relay_failure(originator, learn_slot, /*charge_link=*/false);
-  };
+  }
 
-  // Escalated resolution of one contested frame (kHybrid): re-run the
-  // real sample-level chain, but only over this frame's decode window,
-  // only at the contested gateways, and only folding in-range logged
-  // frames. One warm-up slot ahead of the window settles the fresh RC
-  // envelope state (the RC time constant is a fraction of a chip).
-  const auto escalate_frame = [&](std::size_t k) {
-    const auto esc_t0 = timed ? Clock::now() : Clock::time_point{};
-    const TagRt& tag = rt[k];
-    const std::size_t lo =
-        static_cast<std::size_t>(tag.start_slot) * slot_samples_;
-    const std::size_t hi = std::min(total, lo + burst_samples_ + tail_samples);
-    const std::uint64_t w0_slot = tag.start_slot > 0 ? tag.start_slot - 1 : 0;
-    const std::size_t hi_slot =
-        std::min(slots, (hi + slot_samples_ - 1) / slot_samples_);
-    const std::size_t w0 = static_cast<std::size_t>(w0_slot) * slot_samples_;
-    const std::size_t win_samples = hi_slot * slot_samples_ - w0;
-    assert(win_samples <= esc_win.size());
-    ensure_ambient(hi_slot * slot_samples_);
-
-    // Contested gateways are tried best-margin-first and the loop exits
-    // on the first decode: under any-gateway combining one decode
-    // already settles delivery, so the remaining (weaker) gateways'
-    // windows never need synthesizing. Delivery verdicts are identical
-    // to the exhaustive sweep; only the per-gateway decode tallies stop
-    // accruing once the frame is resolved.
-    esc_order.clear();
-    for (std::size_t g = 0; g < n_gw; ++g) {
-      if (gw_verdict[g] == LinkVerdict::kContested) esc_order.push_back(g);
-    }
-    std::sort(esc_order.begin(), esc_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return gw_margin[a] != gw_margin[b]
-                           ? gw_margin[a] > gw_margin[b]
-                           : a < b;
-              });
-
-    bool any_decoded = false;
-    bool serving_decoded = false;
-    for (const std::size_t g : esc_order) {
-      const core::FdRxResult* rp = nullptr;
-      for (const EscDemod& e : esc_demod) {
-        if (e.g == g && e.start == tag.start_slot) {
-          // A cluster peer already demodulated this exact window: every
-          // slot of it is built (the memo is stored only after a full
-          // build), so skipping the rebuild consumes no RNG and changes
-          // no accounting.
-          rp = &e.r;
-          break;
-        }
-      }
-      if (rp == nullptr) {
-        for (std::size_t s = w0_slot; s < hi_slot; ++s) {
-          cf32* const slot_p = esc_slot_ptr(g, s);
-          if (!esc_built[g * slots + s]) {
-            esc_built[g * slots + s] = 1;
-            ++res.gateway_slots_synthesized;
-            const std::size_t base = s * slot_samples_;
-            const auto carrier = ambient.subspan(base, slot_samples_);
-            const auto out = std::span<cf32>(slot_p, slot_samples_);
-            // Gather the in-range on-air entities of this slot (mask
-            // views into the zero-padded modulated frames plus their
-            // coupling pair at this gateway), then run the fused slot
-            // kernel once.
-            std::size_t n_ent = 0;
-            for (std::uint32_t idx = slot_frames_off[s];
-                 idx < slot_frames_off[s + 1]; ++idx) {
-              FrameLog& fl = frame_log[slot_frames[idx]];
-              if (!in_range_[fl.tag * n_gw + g]) continue;
-              if (fl.states.empty()) {
-                fl.states = tx_.modulate(fl.payload);
-                // Zero-pad to whole slots: state 0 is absorb, which is
-                // exactly the "frame ended mid-slot" semantics.
-                fl.states.resize(frame_slots_ * slot_samples_, 0);
-                if (has_faults) {
-                  apply_tag_fault_states(fl.tag, fl.start_slot, fl.states);
-                }
-              }
-              mask_ptrs[n_ent] =
-                  fl.states.data() +
-                  static_cast<std::size_t>(s - fl.start_slot) *
-                      slot_samples_;
-              slot_on[n_ent] = coup_on[fl.tag * n_gw + g];
-              slot_off[n_ent] = coup_off[fl.tag * n_gw + g];
-              ++n_ent;
-            }
-            WaveformSynthesizer::synthesize_slot_gateway(
-                carrier, h_sr[g],
-                std::span<const std::uint8_t* const>(mask_ptrs.data(),
-                                                     n_ent),
-                std::span<const cf32>(slot_on.data(), n_ent),
-                std::span<const cf32>(slot_off.data(), n_ent),
-                coeff_scratch, out);
-            if (has_faults) apply_slot_faults(g, s, out);
-            noise[g].process(out, out);
-          }
-          // The decode window may straddle chunk boundaries: gather it
-          // into contiguous scratch (identical sample values — the
-          // envelope/demod stages see exactly the bits the monolithic
-          // cache produced).
-          std::memcpy(esc_win.data() + (s - w0_slot) * slot_samples_,
-                      slot_p, slot_samples_ * sizeof(cf32));
-        }
-        dsp::EnvelopeDetector env = synth_.make_envelope();
-        const auto env_out = esc_env.subspan(0, win_samples);
-        env.process(std::span<const cf32>(esc_win.data(), win_samples),
-                    env_out);
-        esc_demod.push_back(
-            {static_cast<std::uint32_t>(g), tag.start_slot,
-             rx_.demodulate(
-                 std::span<const float>(env_out).subspan(lo - w0, hi - lo),
-                 {}, config_.payload_bytes)});
-        rp = &esc_demod.back().r;
-      }
-      const core::FdRxResult& r = *rp;
-      const bool decoded = r.status != Status::kSyncNotFound &&
-                           r.blocks.blocks_failed == 0 &&
-                           r.blocks.payload == tag.payload;
-      if (decoded) {
-        ++res.gateway_decodes[g];
-        any_decoded = true;
-        if (g == serving_now[k]) serving_decoded = true;
-        if (config_.combining == GatewayCombining::kAnyGateway ||
-            g == serving_now[k]) {
-          break;
-        }
-      }
-    }
-    if (timed) {
-      esc_acc +=
-          std::chrono::duration<double>(Clock::now() - esc_t0).count();
-    }
-    return config_.combining == GatewayCombining::kAnyGateway
-               ? any_decoded
-               : serving_decoded;
-  };
-
-  // Resolves tag k's completed frame and applies the combining policy
-  // to stats + MAC state. kWaveform decodes every gateway's envelope
-  // history; the fleet modes classify analytically and (kHybrid)
-  // escalate contested frames back to synthesis. `learn_slot` is when
-  // the transmitter hears the outcome (for the latency metric).
-  const auto resolve_verdict = [&](std::size_t k, std::uint64_t learn_slot,
-                                   bool update_mac) {
+  /// A frame at the gateways: kWaveform decodes every gateway's envelope
+  /// history; the fleet modes classify analytically and (kHybrid)
+  /// escalate contested frames back to synthesis.
+  void resolve_verdict(std::size_t k, std::uint64_t learn_slot,
+                       bool update_mac) {
     TagRt& tag = rt[k];
-    const bool fwd = relay_on && tag.forwarding;
+    const std::uint64_t lo = tag.start_slot;
+    const std::uint64_t hi = lo + frame;
     bool delivered = false;
     bool escalated = false;
     LinkVerdict combined = LinkVerdict::kContested;
     double best_margin = -std::numeric_limits<double>::infinity();
 
-    // The transmitting tag's own hardware fault this frame, if any:
-    // stuck frames and drift-shifted frames force kContested in every
-    // classifying mode (only synthesis — which rewrites the faulted
-    // states — can judge a corrupted burst; forcing the band keeps the
-    // clear-verdict agreement contract intact under faults).
+    // The tag's own hardware fault this frame: stuck and drift-shifted
+    // frames force kContested in every classifying mode (only synthesis,
+    // which rewrites the faulted states, can judge a corrupted burst).
     bool own_stuck = false;
     std::size_t own_shift = 0;
-    if (has_faults) {
-      own_stuck = fplan.stuck_in_window(
-          static_cast<std::uint32_t>(k),
-          static_cast<std::int64_t>(tag.start_slot),
-          static_cast<std::int64_t>(tag.start_slot + frame_slots_));
-      own_shift = fplan.drift_shift_samples(
-          static_cast<std::uint32_t>(k),
-          static_cast<std::int64_t>(tag.start_slot));
+    if (fplan.any()) {
+      const auto k32 = static_cast<std::uint32_t>(k);
+      own_stuck = fplan.stuck_in_window(k32, static_cast<std::int64_t>(lo),
+                                        static_cast<std::int64_t>(hi));
+      own_shift = fplan.drift_shift_samples(k32, static_cast<std::int64_t>(lo));
     }
-    const bool own_fault = own_stuck || own_shift > 0;
 
     if (analytic_on) {
-      // Per-gateway one-sided-safe verdicts over the gateway set the
-      // combining policy listens to (kBestGateway: serving only).
+      // Per-gateway one-sided-safe verdicts over the gateways the
+      // combining rule listens to.
       bool any_deliver = false;
       bool any_contested = false;
-      std::size_t best_g = serving_now[k];
+      std::size_t best_g = failover.serving(k);
       for (std::size_t g = 0; g < n_gw; ++g) {
-        const bool relevant =
-            config_.combining == GatewayCombining::kAnyGateway ||
-            g == serving_now[k];
-        if (!relevant) {
+        if (!failover.listens(k, g)) {
           gw_verdict[g] = LinkVerdict::kClearFail;
           gw_margin[g] = -std::numeric_limits<double>::infinity();
           continue;
         }
-        const double d = delta[k * n_gw + g];
-        const double interf = worst_interference(k, g);
+        const double d = ch.delta[k * n_gw + g];
+        // Worst concurrent in-range interference over the window minus
+        // the tag's own share. Under faults the own share takes the
+        // *minimum* window scale, keeping the residual an over-estimate
+        // — the safe side for the one-sided classifier.
+        double own = sim.in_range_[k * n_gw + g] ? 0.5 * d : 0.0;
+        if (fplan.any()) own *= fplan.min_signal_scale(g, lo, hi);
+        const double interf = std::max(
+            0.0, static_cast<double>(window.worst(k, g, lo, hi)) - own);
         double margin;
-        if (has_faults) {
-          // The fault schedule scales the frame's envelope swing slot
-          // by slot; the split-band classifier charges the pessimistic
-          // arm the window minimum and grants the optimistic arm the
-          // window maximum — the same one-sided-safe bracketing the
-          // margin band already provides for interference.
-          const double scale_min = fplan.min_signal_scale(
-              g, tag.start_slot, tag.start_slot + frame_slots_);
-          const double scale_max = fplan.max_signal_scale(
-              g, tag.start_slot, tag.start_slot + frame_slots_);
-          gw_verdict[g] = resolver_.classify(d * scale_min, d * scale_max,
-                                             interf);
-          margin = resolver_.margin_db(d * scale_min, interf);
-          if (own_fault) gw_verdict[g] = LinkVerdict::kContested;
+        if (fplan.any()) {
+          // The pessimistic arm takes the window's minimum signal scale,
+          // the optimistic arm its maximum.
+          const double scale_min = fplan.min_signal_scale(g, lo, hi);
+          const double scale_max = fplan.max_signal_scale(g, lo, hi);
+          gw_verdict[g] =
+              sim.resolver_.classify(d * scale_min, d * scale_max, interf);
+          margin = sim.resolver_.margin_db(d * scale_min, interf);
+          if (own_stuck || own_shift > 0) {
+            gw_verdict[g] = LinkVerdict::kContested;
+          }
         } else {
-          gw_verdict[g] = resolver_.classify(d, interf);
-          margin = resolver_.margin_db(d, interf);
+          gw_verdict[g] = sim.resolver_.classify(d, interf);
+          margin = sim.resolver_.margin_db(d, interf);
         }
-        if (fwd && gw_verdict[g] == LinkVerdict::kClearDeliver) {
-          // Relayed delivery is never claimed from the margin band
-          // alone (one-sided-safe): force the contested band so kHybrid
-          // escalates to synthesis and kAnalytic point-estimates.
+        if (tag.forwarding && gw_verdict[g] == LinkVerdict::kClearDeliver) {
+          // Relayed delivery is never claimed from the margin band alone
+          // (one-sided-safe): kHybrid escalates, kAnalytic point-estimates.
           gw_verdict[g] = LinkVerdict::kContested;
         }
         gw_margin[g] = margin;
@@ -1554,565 +1650,259 @@ NetworkTrialResult NetworkSimulator::run_trial_impl(
         any_deliver |= gw_verdict[g] == LinkVerdict::kClearDeliver;
         any_contested |= gw_verdict[g] == LinkVerdict::kContested;
       }
-      combined = any_deliver      ? LinkVerdict::kClearDeliver
-                 : any_contested  ? LinkVerdict::kContested
-                                  : LinkVerdict::kClearFail;
+      combined = any_deliver     ? LinkVerdict::kClearDeliver
+                 : any_contested ? LinkVerdict::kContested
+                                 : LinkVerdict::kClearFail;
 
       if (!waveform_all) {
-        switch (combined) {
-          case LinkVerdict::kClearDeliver:
-            delivered = true;
-            for (std::size_t g = 0; g < n_gw; ++g) {
-              if (gw_verdict[g] == LinkVerdict::kClearDeliver) {
-                ++res.gateway_decodes[g];
-              }
+        if (combined == LinkVerdict::kClearDeliver) {
+          delivered = true;
+          for (std::size_t g = 0; g < n_gw; ++g) {
+            if (gw_verdict[g] == LinkVerdict::kClearDeliver) {
+              ++res.gateway_decodes[g];
             }
-            break;
-          case LinkVerdict::kClearFail:
-            break;
-          case LinkVerdict::kContested:
-            if (hybrid) {
-              delivered = escalate_frame(k);
-              escalated = true;
-            } else if (own_stuck) {
-              // Pure analytic mode, jammed switch: no modulation ever
-              // reached the air during the fault window — fail.
-              delivered = false;
-            } else if (own_shift > 0) {
-              // Drifted burst: delivered iff the margin holds AND the
-              // accumulated skew still fits the decode window's tail.
-              delivered = best_margin >= 0.0 && own_shift <= tail_samples;
-              if (delivered) ++res.gateway_decodes[best_g];
-            } else {
-              // Point estimate at the band centre.
-              delivered = best_margin >= 0.0;
-              if (delivered) ++res.gateway_decodes[best_g];
-            }
-            break;
+          }
+        } else if (combined == LinkVerdict::kContested) {
+          if (hybrid) {
+            delivered = escalate(k);
+            escalated = true;
+          } else if (!own_stuck) {
+            // Point estimate at the band centre; a drifted burst must
+            // also still fit the decode window's tail. A jammed switch
+            // never reached the air: fail.
+            delivered = best_margin >= 0.0 && own_shift <= tail;
+            if (delivered) ++res.gateway_decodes[best_g];
+          }
         }
-        if (escalated) {
-          ++res.frames_escalated;
-        } else {
-          ++res.frames_resolved_analytic;
-        }
-        if (culled_[k]) ++res.frames_culled;
+        ++(escalated ? res.frames_escalated : res.frames_resolved_analytic);
+        if (sim.culled_[k]) ++res.frames_culled;
       }
     }
+    if (waveform_all) delivered = decode_history(k);
 
-    if (waveform_all) {
-      const std::size_t lo =
-          static_cast<std::size_t>(tag.start_slot) * slot_samples_;
-      const std::size_t hi =
-          std::min(total, lo + burst_samples_ + tail_samples);
-      bool any_decoded = false;
-      bool serving_decoded = false;
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        const auto history =
-            std::span<const float>(env_buf).subspan(g * total, total);
-        const core::FdRxResult r = rx_.demodulate(
-            history.subspan(lo, hi - lo), {}, config_.payload_bytes);
-        const bool decoded = r.status != Status::kSyncNotFound &&
-                             r.blocks.blocks_failed == 0 &&
-                             r.blocks.payload == tag.payload;
-        if (decoded) {
-          ++res.gateway_decodes[g];
-          any_decoded = true;
-          if (g == serving_now[k]) serving_decoded = true;
-        }
-      }
-      delivered = config_.combining == GatewayCombining::kAnyGateway
-                      ? any_decoded
-                      : serving_decoded;
+    if (cfg.fleet.record_frames) {
+      res.frames.push_back({static_cast<std::uint32_t>(k), lo, tag.overlapped,
+                            combined, best_margin, delivered, escalated});
     }
-
-    if (fleet.record_frames) {
-      res.frames.push_back({static_cast<std::uint32_t>(k), tag.start_slot,
-                            tag.overlapped, combined, best_margin, delivered,
-                            escalated});
-    }
-    if (has_faults) classify_fault_loss(k, delivered);
+    acct.settle(k, learn_slot,
+                delivered ? Outcome::kDelivered : Outcome::kFailed);
     if (update_mac) {
-      if (!fwd) note_frame_outcome(k, delivered, learn_slot);
-      policy_->on_outcome(k, delivered, tag.mac);
+      if (!tag.forwarding) failover.note(k, delivered, lo, learn_slot, res);
+      sim.policy_->on_outcome(k, delivered, tag.mac);
     }
-    if (fwd) {
-      // A forward's outcome belongs to the originator; the relay's own
-      // per-tag counters stay untouched (delivered + collided <=
-      // attempted must keep holding per tag).
-      if (delivered) {
-        ++res.tags[tag.fwd_originator].frames_delivered;
-        res.tags[tag.fwd_originator].payload_bits_delivered +=
-            config_.payload_bytes * 8;
-        ++res.relayed_delivered;
-        res.relay_hops.add(static_cast<double>(tag.fwd_hops + 1));
-        res.useful_slots += frame_slots_;
-        relay_fail_streak[tag.fwd_originator] = 0;
-      } else {
-        ++res.relay_drops;
-        charge_relay_failure(tag.fwd_originator, learn_slot,
-                             /*charge_link=*/true);
-      }
-    } else if (delivered) {
-      ++res.tags[k].frames_delivered;
-      res.tags[k].payload_bits_delivered += config_.payload_bytes * 8;
-      res.useful_slots += frame_slots_;
-    } else {
-      if (tag.overlapped) {
-        ++res.tags[k].frames_collided;
-        ++res.collisions;
-        res.detect_latency_slots.add(
-            static_cast<double>(learn_slot - tag.overlap_start + 1));
-      } else {
-        ++res.sync_failures;
-      }
-    }
-  };
+  }
 
-  // Verdict dispatch shared by Phase D and the trial-end drain; also
-  // the stage-timing boundary for verdict resolution (escalation time
-  // is carved out separately inside escalate_frame).
-  const auto resolve_frame = [&](std::size_t k, std::uint64_t learn_slot,
-                                 bool update_mac) {
+  /// kWaveform: demodulates the frame's window out of every gateway's
+  /// envelope history; delivered iff a gateway the combining rule
+  /// listens to decodes it.
+  bool decode_history(std::size_t k) {
+    const TagRt& tag = rt[k];
+    const std::size_t lo = static_cast<std::size_t>(tag.start_slot) * ss;
+    const std::size_t hi = std::min(total, lo + sim.burst_samples_ + tail);
+    bool delivered = false;
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      const auto window_env = std::span<const float>(env_buf).subspan(
+          g * total + lo, hi - lo);
+      if (decoded(sim.rx_.demodulate(window_env, {}, cfg.payload_bytes),
+                  tag.payload)) {
+        ++res.gateway_decodes[g];
+        delivered |= failover.listens(k, g);
+      }
+    }
+    return delivered;
+  }
+
+  /// kHybrid escalation of a contested frame: the real sample-level
+  /// chain over this frame's decode window only, at the contested
+  /// gateways only. Gateways are tried best-margin-first and the loop
+  /// stops at the first decode that settles delivery, so weaker
+  /// gateways' windows never need synthesizing.
+  bool escalate(std::size_t k) {
     const auto t0 = timed ? Clock::now() : Clock::time_point{};
-    if (relay_on && relay_topo_.reachable(k) && relay_topo_.level(k) >= 1) {
-      resolve_hop(k, learn_slot, update_mac);
-    } else {
-      resolve_verdict(k, learn_slot, update_mac);
+    esc.order.clear();
+    for (std::size_t g = 0; g < n_gw; ++g) {
+      if (gw_verdict[g] == LinkVerdict::kContested) esc.order.push_back(g);
     }
-    if (timed) {
-      verdict_acc +=
-          std::chrono::duration<double>(Clock::now() - t0).count();
-    }
-  };
-
-  // Frame start: identical bookkeeping (and Rng draw sequence) in both
-  // engines — only *when* it runs differs (bucket fire vs countdown).
-  const auto start_frame = [&](std::size_t k, std::uint64_t slot) {
-    TagRt& tag = rt[k];
-    tag.st = TagRt::St::kTx;
-    tag.progress = 0;
-    tag.start_slot = slot;
-    tag.overlapped = false;
-    tag.forwarding = relay_on && !relay_queue[k].empty();
-    if (tag.forwarding) {
-      // Forwarding outranks fresh traffic — the queued frame is
-      // older. No payload draw: the scheduled MAC never touches the
-      // trial Rng either, so the draw sequence is a pure function
-      // of the queue evolution (mode-dependent only where gateway
-      // verdicts are; relaying's cross-fidelity contract is
-      // statistical, not draw-exact).
-      QueuedFrame f = std::move(relay_queue[k].front());
-      relay_queue[k].erase(relay_queue[k].begin());
-      tag.fwd_originator = f.originator;
-      tag.fwd_hops = f.hops;
-      tag.payload = std::move(f.payload);
-      ++res.relay_tx_frames;
-    } else {
-      ++res.tags[k].frames_attempted;
-      tag.payload.resize(config_.payload_bytes);
-      for (auto& byte : tag.payload) {
-        byte = static_cast<std::uint8_t>(rng.uniform_int(256));
+    std::sort(esc.order.begin(), esc.order.end(),
+              [&](std::size_t a, std::size_t b) {
+                return gw_margin[a] != gw_margin[b]
+                           ? gw_margin[a] > gw_margin[b]
+                           : a < b;
+              });
+    bool delivered = false;
+    for (const std::size_t g : esc.order) {
+      if (decoded(escalated_demod(g, rt[k].start_slot), rt[k].payload)) {
+        ++res.gateway_decodes[g];
+        if (failover.listens(k, g)) {
+          delivered = true;
+          break;
+        }
       }
     }
-    // Antenna states are only modulated where samples are needed:
-    // per-slot synthesis (kWaveform) now, escalated windows
-    // (kHybrid) lazily from the frame log, never in kAnalytic.
-    if (waveform_all) {
-      tag.states = tx_.modulate(tag.payload);
-      // Zero-pad to whole slots (0 = absorb): every slot of the
-      // frame is then a plain pointer view for the slot kernel.
-      tag.states.resize(frame_slots_ * slot_samples_, 0);
-      if (has_faults) {
-        apply_tag_fault_states(static_cast<std::uint32_t>(k), slot,
-                               tag.states);
-      }
-    } else if (hybrid) {
-      tag.frame_id = static_cast<std::uint32_t>(frame_log.size());
-      frame_log.push_back({static_cast<std::uint32_t>(k), slot,
-                           tag.payload, {}});
-    }
-  };
-
-  const auto t_loop = timed ? Clock::now() : Clock::time_point{};
-  if (timed) {
-    stages->setup_s +=
-        std::chrono::duration<double>(t_loop - t_entry).count();
+    if (timed) escalate_s += seconds_since(t0);
+    return delivered;
   }
 
-  for (std::uint64_t slot = 0; slot < slots; ++slot) {
-    // --- Phase A: backoff expiries; frame starts (energy-gated) -------
-    if constexpr (ActiveSet) {
-      std::size_t n_fired = 0;
-      for (std::uint32_t t = headA[slot]; t != kNilTag; t = bucket_next[t]) {
-        fired[n_fired++] = t;
-      }
-      headA[slot] = kNilTag;
-      std::sort(fired.begin(), fired.begin() + n_fired);
-      for (std::size_t i = 0; i < n_fired; ++i) {
-        const std::size_t k = fired[i];
-        TagRt& tag = rt[k];
-        // Frames that cannot fully resolve inside the trial are not
-        // started: the tag parks (it is simply never rescheduled).
-        if (slot + frame_slots_ + 2 > slots) {
-          tag.counter = slots;
-          continue;
-        }
-        ff_idle(k, slot);  // gating reads storage: bring it current
-        if (config_.energy_gating &&
-            tag.storage.level_j() < frame_cost_j_) {
-          ++res.tags[k].energy_outages;
-          redraw_wait(k, slot);
-          continue;
-        }
-        start_frame(k, slot);
-        active.insert(std::lower_bound(active.begin(), active.end(), k),
-                      k);
-        if (analytic_on) {
-          // Fresh frame: reset this tag's per-gateway window maxima.
-          std::fill_n(i_max.begin() + k * n_gw, n_gw, 0.0f);
-        }
-      }
-    } else {
-      for (std::size_t k = 0; k < n_tags; ++k) {
-        TagRt& tag = rt[k];
-        tag.wait_entered_now = false;
-        tag.brownout_now = false;
-        if (tag.st != TagRt::St::kBackoff) continue;
-        if (tag.counter == 0 || --tag.counter == 0) {
-          // Frames that cannot fully resolve inside the trial are not
-          // started: park the tag so every attempt has a verdict.
-          if (slot + frame_slots_ + 2 > slots) {
-            tag.counter = slots;  // runs off the end of the trial
-            continue;
+  /// Receiver output over the decode window of a frame started at
+  /// `start`, at gateway g: synthesized slot by slot into the escalation
+  /// cache (one warm-up slot ahead settles the fresh RC envelope state),
+  /// folding in only in-range logged frames, then envelope + demod.
+  const core::FdRxResult& escalated_demod(std::size_t g, std::uint64_t start) {
+    // A cluster peer already demodulated this exact window: every slot
+    // of it is built, so reuse consumes no RNG and changes no accounting.
+    if (const auto* hit = esc.find(g, start)) return hit->r;
+    const std::size_t lo = static_cast<std::size_t>(start) * ss;
+    const std::size_t hi = std::min(total, lo + sim.burst_samples_ + tail);
+    const std::size_t w0_slot = start > 0 ? start - 1 : 0;
+    const std::size_t hi_slot = std::min(slots, (hi + ss - 1) / ss);
+    const std::size_t w0 = w0_slot * ss;
+    const std::size_t win_samples = hi_slot * ss - w0;
+    assert(win_samples <= esc.win.size());
+    if (hi_slot * ss > ambient_filled) {
+      source->generate(
+          ambient.subspan(ambient_filled, hi_slot * ss - ambient_filled));
+      ambient_filled = hi_slot * ss;
+    }
+    for (std::size_t s = w0_slot; s < hi_slot; ++s) {
+      cf32* const slot_p = esc.slot_ptr(arena, g, s);
+      if (esc.claim(g, s)) {
+        ++res.gateway_slots_synthesized;
+        std::size_t n = 0;
+        for (std::uint32_t i = esc.slot_off[s]; i < esc.slot_off[s + 1]; ++i) {
+          FrameLog& fl = esc.frames[esc.slot_frames[i]];
+          if (!sim.in_range_[fl.tag * n_gw + g]) continue;
+          if (fl.states.empty()) {
+            fl.states = frame_states(fl.tag, fl.start_slot, fl.payload);
           }
-          if (config_.energy_gating &&
-              tag.storage.level_j() < frame_cost_j_) {
-            ++res.tags[k].energy_outages;
-            redraw_wait(k, slot);
-            continue;
-          }
-          start_frame(k, slot);
+          synth.masks[n] = fl.states.data() + (s - fl.start_slot) * ss;
+          synth.tags[n++] = fl.tag;
         }
+        synth.run(g, s, n, std::span<const cf32>(ambient).subspan(s * ss, ss),
+                  std::span<cf32>(slot_p, ss));
       }
+      std::memcpy(esc.win.data() + (s - w0_slot) * ss, slot_p,
+                  ss * sizeof(cf32));
     }
-
-    // --- Phase B: channel synthesis + energy accounting ---------------
-    if constexpr (ActiveSet) {
-      // `active` is maintained incrementally (sorted inserts in Phase
-      // A, compaction in Phase C) and `n_waiting` counts WaitVerdict
-      // residents — no per-slot O(n_tags) scan.
-      if (!active.empty()) {
-        ++res.busy_slots;
-      } else if (n_waiting > 0) {
-        ++idle_wait_slots;
-      }
-    } else {
-      active.clear();
-      bool any_waiting = false;
-      for (std::size_t k = 0; k < n_tags; ++k) {
-        if (rt[k].st == TagRt::St::kTx) active.push_back(k);
-        if (rt[k].st == TagRt::St::kWaitVerdict) any_waiting = true;
-      }
-      if (!active.empty()) {
-        ++res.busy_slots;
-      } else if (any_waiting) {
-        ++idle_wait_slots;  // dead air while timers / verdict drains run
-      }
-    }
-
-    // Slot synthesis is one pass across entities, not per link: stage 1
-    // resolves every active tag's per-sample mask block for this slot
-    // once (shared by all gateways — the zero-padded modulated frames
-    // make each block a plain pointer view); stage 2 runs the fused
-    // per-gateway kernel, which sums the selected coupling coefficients
-    // (h_tag->gw * Gamma(state) * h_ambient->tag, from the per-trial
-    // tables) and multiplies the carrier in once, then the gateway's
-    // AWGN fork and RC envelope state. The fleet modes skip this
-    // entirely: the analytic path below tracks the interference sums
-    // instead, and kHybrid re-synthesizes only the windows its
-    // contested frames demand.
-    if (waveform_all) {
-      const std::size_t base = static_cast<std::size_t>(slot) * slot_samples_;
-      const auto carrier =
-          std::span<const cf32>(ambient).subspan(base, slot_samples_);
-      for (std::size_t e = 0; e < active.size(); ++e) {
-        const TagRt& tag = rt[active[e]];
-        mask_ptrs[e] =
-            tag.states.data() +
-            static_cast<std::size_t>(slot - tag.start_slot) * slot_samples_;
-      }
-      for (std::size_t g = 0; g < n_gw; ++g) {
-        for (std::size_t e = 0; e < active.size(); ++e) {
-          slot_on[e] = coup_on[active[e] * n_gw + g];
-          slot_off[e] = coup_off[active[e] * n_gw + g];
-        }
-        const auto gw_slot = rx_slot.subspan(g * slot_samples_, slot_samples_);
-        WaveformSynthesizer::synthesize_slot_gateway(
-            carrier, h_sr[g],
-            std::span<const std::uint8_t* const>(mask_ptrs.data(),
-                                                 active.size()),
-            std::span<const cf32>(slot_on.data(), active.size()),
-            std::span<const cf32>(slot_off.data(), active.size()),
-            coeff_scratch, gw_slot);
-        if (has_faults) apply_slot_faults(g, slot, gw_slot);
-        noise[g].process(gw_slot, gw_slot);
-        envelopes[g].process(
-            gw_slot, env_buf.subspan(g * total + base, slot_samples_));
-      }
-      res.gateway_slots_synthesized += n_gw;
-    }
-    if (analytic_on) {
-      // Under faults the interference sum mirrors the synthesis
-      // transform exactly: active tags' half-swings scale with the
-      // carrier sag and the gateway attenuation, and burst-interferer
-      // envelopes arrive over the air (so they too pass the gateway's
-      // attenuation).
-      if constexpr (ActiveSet) {
-        // Segment-max: fold this slot's per-gateway sum once (the
-        // identical ascending-active fold the reference stores in
-        // i_sum) and max it into every active tag's running window
-        // maximum — `worst_interference` then reads the max directly
-        // instead of rescanning the frame window per (frame, gateway).
-        // Only slots with a tag on air matter: a resolved frame was
-        // active on every slot of its window, so its maxima cover
-        // exactly the slots the reference scan would.
-        if (!active.empty()) {
-          for (std::size_t g = 0; g < n_gw; ++g) {
-            float sum = 0.0f;
-            for (const std::size_t k : active) {
-              if (in_range_[k * n_gw + g]) sum += half[k * n_gw + g];
-            }
-            if (has_faults) {
-              sum = sum * fplan.signal_scale(g, slot) +
-                    fplan.interferer_env(g, slot) *
-                        fplan.gateway_atten(g, slot);
-            }
-            for (const std::size_t k : active) {
-              float& m = i_max[k * n_gw + g];
-              if (sum > m) m = sum;
-            }
-          }
-        }
-      } else if (!active.empty() || has_faults) {
-        // Written every slot under faults, since an interferer raises
-        // the sum even with no tag on air.
-        for (std::size_t g = 0; g < n_gw; ++g) {
-          float sum = 0.0f;
-          for (const std::size_t k : active) {
-            if (in_range_[k * n_gw + g]) sum += half[k * n_gw + g];
-          }
-          if (has_faults) {
-            sum = sum * fplan.signal_scale(g, slot) +
-                  fplan.interferer_env(g, slot) *
-                      fplan.gateway_atten(g, slot);
-          }
-          i_sum[g * slots + slot] = sum;
-        }
-      }
-    }
-    if (hybrid) {
-      for (const std::size_t k : active) {
-        if constexpr (ActiveSet) {
-          // Fully-culled tags are in range of no gateway: escalation
-          // skips them per-gateway anyway, so dropping them from the
-          // slot index changes no synthesized sample.
-          if (culled_[k]) continue;
-        }
-        slot_frames.push_back(rt[k].frame_id);
-      }
-      slot_frames_off[slot + 1] =
-          static_cast<std::uint32_t>(slot_frames.size());
-    }
-
-    if constexpr (ActiveSet) {
-      for (const std::size_t k : active) {
-        active_step(k);
-        e_next[k] = static_cast<std::uint32_t>(slot + 1);
-      }
-    } else {
-      for (std::size_t k = 0; k < n_tags; ++k) {
-        if (rt[k].st == TagRt::St::kTx) {
-          active_step(k);
-        } else {
-          idle_step(k);
-        }
-      }
-    }
-
-    // --- Phase C: transmission progress, overlap, aborts, frame end ---
-    // The active engine compacts `active` in place: a tag that aborts
-    // or completes is dropped, everything else keeps its (ascending)
-    // position.
-    const bool collision_now = active.size() >= 2;
-    [[maybe_unused]] std::size_t keep = 0;
-    const std::size_t n_active = active.size();
-    for (std::size_t ai = 0; ai < n_active; ++ai) {
-      const std::size_t k = active[ai];
-      TagRt& tag = rt[k];
-      ++tag.progress;
-      if (collision_now && !tag.overlapped) {
-        tag.overlapped = true;
-        tag.overlap_start = slot;
-      }
-      const bool brownout = tag.brownout_now;
-      if constexpr (ActiveSet) tag.brownout_now = false;
-      if (brownout) {
-        // Storage emptied under the switch drive: the frame dies on air.
-        if (relay_on && tag.forwarding) {
-          ++res.relay_drops;
-          charge_relay_failure(tag.fwd_originator, slot,
-                               /*charge_link=*/true);
-        } else {
-          ++res.tags[k].frames_aborted;
-          if (tag.overlapped) {
-            ++res.tags[k].frames_collided;
-            ++res.collisions;
-          }
-        }
-        if (has_faults) classify_fault_loss(k, /*delivered=*/false);
-        tag.st = TagRt::St::kBackoff;
-        redraw_wait(k, slot);
-        continue;
-      }
-      bool notified = false;
-      if (fd && tag.overlapped) {
-        if (!has_faults) {
-          notified = slot - tag.overlap_start + 1 >= notify_slots_[k];
-        } else {
-          // A gateway can only notify if it was alive to *detect* the
-          // overlap: an outage at the detection moment silences it, and
-          // the tag keeps burning the collided frame until a healthy
-          // gateway's (possibly slower) notification arrives — or the
-          // frame runs its full length. This is the failure mode the
-          // dead-gateway failover machine responds to.
-          for (std::size_t g = 0; g < n_gw; ++g) {
-            if (slot - tag.overlap_start + 1 < notify_pg_[k * n_gw + g]) {
-              continue;
-            }
-            if (!fplan.gateway_alive(g, tag.overlap_start)) continue;
-            notified = true;
-            break;
-          }
-        }
-      }
-      if (notified) {
-        // The earliest gateway's collision notification arrived
-        // (notify latency block-times after the overlap began, not
-        // after the frame started — mid-frame collision victims wait
-        // the full notification latency too): abort now.
-        if (relay_on && tag.forwarding) {
-          ++res.relay_drops;
-          charge_relay_failure(tag.fwd_originator, slot,
-                               /*charge_link=*/true);
-        } else {
-          ++res.tags[k].frames_aborted;
-          ++res.tags[k].frames_collided;
-          ++res.collisions;
-          res.detect_latency_slots.add(
-              static_cast<double>(slot - tag.overlap_start + 1));
-        }
-        if (has_faults) classify_fault_loss(k, /*delivered=*/false);
-        policy_->on_notify_abort(k, tag.mac);
-        tag.st = TagRt::St::kBackoff;
-        redraw_wait(k, slot);
-        continue;
-      }
-      if (tag.progress >= frame_slots_) {
-        // Frame fully on air. The policy decides the drain: one slot
-        // for the final block verdict (notify / scheduled), the ACK
-        // timeout for the timeout MAC.
-        tag.st = TagRt::St::kWaitVerdict;
-        tag.counter = policy_->verdict_wait_slots();
-        if constexpr (ActiveSet) {
-          // A wait-verdict counter c entered at slot s is skipped at s
-          // (wait_entered_now) and first examined at s + 1: it fires at
-          // s + max(c, 1).
-          schedule(headD, k,
-                   slot + std::max<std::uint64_t>(tag.counter, 1));
-          ++n_waiting;
-        } else {
-          tag.wait_entered_now = true;
-        }
-        continue;
-      }
-      if constexpr (ActiveSet) active[keep++] = k;
-    }
-    if constexpr (ActiveSet) {
-      active.resize(keep);
-    }
-
-    // --- Phase D: verdict waits resolve against synthesized history ---
-    if constexpr (ActiveSet) {
-      std::size_t n_fired = 0;
-      for (std::uint32_t t = headD[slot]; t != kNilTag; t = bucket_next[t]) {
-        fired[n_fired++] = t;
-      }
-      headD[slot] = kNilTag;
-      std::sort(fired.begin(), fired.begin() + n_fired);
-      for (std::size_t i = 0; i < n_fired; ++i) {
-        const std::size_t k = fired[i];
-        resolve_frame(k, slot, /*update_mac=*/true);
-        rt[k].st = TagRt::St::kBackoff;
-        --n_waiting;
-        redraw_wait(k, slot);
-      }
-    } else {
-      for (std::size_t k = 0; k < n_tags; ++k) {
-        TagRt& tag = rt[k];
-        if (tag.st != TagRt::St::kWaitVerdict || tag.wait_entered_now) {
-          continue;
-        }
-        if (tag.counter == 0 || --tag.counter == 0) {
-          resolve_frame(k, slot, /*update_mac=*/true);
-          tag.st = TagRt::St::kBackoff;
-          redraw_wait(k, slot);
-        }
-      }
-    }
+    dsp::EnvelopeDetector env = sim.synth_.make_envelope();
+    const auto env_out = esc.env.subspan(0, win_samples);
+    env.process(std::span<const cf32>(esc.win.data(), win_samples), env_out);
+    const auto burst =
+        std::span<const float>(env_out).subspan(lo - w0, hi - lo);
+    esc.demod.push_back({static_cast<std::uint32_t>(g), start,
+                         sim.rx_.demodulate(burst, {}, cfg.payload_bytes)});
+    return esc.demod.back().r;
   }
 
-  // Attempts still waiting on a verdict at trial end have fully
-  // synthesized frames (starts are parked otherwise): resolve them for
-  // the stats without MAC consequences. The active engine also settles
-  // each tag's outstanding idle-energy span here; a tag that never woke
-  // under a static channel takes the precomputed whole-trial harvest
-  // fold (the identical sequential sum starting from the same 0.0) in
-  // one add.
-  for (std::size_t k = 0; k < n_tags; ++k) {
-    if (rt[k].st == TagRt::St::kWaitVerdict) {
-      resolve_frame(k, slots - 1, /*update_mac=*/false);
-    }
-    rt[k].st = TagRt::St::kBackoff;
-    if constexpr (ActiveSet) {
-      if (static_channel_ && !config_.energy_gating && e_next[k] == 0) {
-        res.tags[k].harvested_j += st_idle_sum_[k];
-      } else {
-        ff_idle(k, slots);
+  /// Trial end: attempts still waiting on a verdict have fully
+  /// synthesized frames (starts are parked otherwise), so they resolve
+  /// for the stats without MAC consequences; frames still sitting in
+  /// forwarding queues never reached a gateway (fabric drops).
+  void finish() {
+    for (std::size_t k = 0; k < n_tags; ++k) {
+      if (rt[k].st == TagRt::St::kWaitVerdict) {
+        resolve_frame(k, slots - 1, /*update_mac=*/false);
       }
+      rt[k].st = TagRt::St::kBackoff;
+      energy.finish(k, slots);
+      res.tags[k].spent_j = rt[k].ledger.total_energy_j();
     }
-    res.tags[k].spent_j = rt[k].ledger.total_energy_j();
-  }
-  if (relay_on) {
-    // Frames still sitting in forwarding queues never reached a
-    // gateway: fabric drops (no streak charge — the per-trial relay
-    // state dies here anyway).
-    for (const auto& q : relay_queue) res.relay_drops += q.size();
+    for (const auto& q : relay.queue) res.relay_drops += q.size();
+    res.wasted_slots =
+        (res.busy_slots > res.useful_slots ? res.busy_slots - res.useful_slots
+                                           : 0) +
+        idle_wait_slots;
   }
 
-  res.wasted_slots = (res.busy_slots > res.useful_slots
-                          ? res.busy_slots - res.useful_slots
-                          : 0) +
-                     idle_wait_slots;
-  if (timed) {
+  const NetworkSimulator& sim;
+  const NetworkSimConfig& cfg;
+  SynthArena& arena;
+  const bool timed;
+  const std::size_t n_tags, n_gw, slots, ss, total, frame, tail;
+  const bool waveform_all, hybrid, analytic_on, relay_on, notify_aborts;
+  const double noise_sigma;  ///< per-quadrature receiver noise
+  const FaultPlan fplan;
+  Rng rng;
+  const std::unique_ptr<channel::AmbientSource> source;
+  const ChannelTables ch;
+  const std::span<channel::AwgnChannel> noise;
+  NetworkTrialResult res;
+  Wake wake;
+  std::vector<TagRt> rt;
+  Failover failover;
+  RelayFabric relay;
+  TrialAccounting acct;
+  Energy energy;
+  Window window;
+  GatewaySlotSynth synth;
+  EscalationCache esc;
+  std::vector<LinkVerdict> gw_verdict;
+  std::vector<double> gw_margin;
+
+  std::vector<std::size_t> active;  ///< on-air tags, ascending
+  std::size_t n_waiting = 0;        ///< tags in WaitVerdict
+  std::uint64_t idle_wait_slots = 0;
+  std::span<cf32> ambient{};
+  std::size_t ambient_filled = 0;
+  std::span<dsp::EnvelopeDetector> envelopes{};
+  std::span<float> env_buf{};
+  std::span<cf32> rx_slot{};
+  double verdict_s = 0.0;    ///< resolve time incl. escalation (wall s)
+  double escalate_s = 0.0;   ///< escalation share of verdict_s
+};
+
+template <bool ActiveSet>
+NetworkTrialResult NetworkSimulator::run_trial_impl(
+    std::uint64_t trial_index, SynthArena& arena,
+    TrialStageTimes* stages) const {
+  using Clock = std::chrono::steady_clock;
+  const auto t_entry = stages ? Clock::now() : Clock::time_point{};
+  arena.reset();
+  Trial<ActiveSet> t(*this, trial_index, arena, stages != nullptr);
+  const auto t_loop = stages ? Clock::now() : Clock::time_point{};
+
+  for (std::uint64_t slot = 0; slot < t.slots; ++slot) {
+    // Phase A: backoff expiries; frame starts (energy-gated).
+    t.wake.fire(WakeBuckets::kBackoff, slot,
+                [&](std::size_t k) { t.try_start(k, slot); });
+
+    // Phase B: airtime, channel synthesis, interference, energy. The
+    // fleet modes skip per-slot synthesis: the analytic path tracks the
+    // interference window instead, and kHybrid only indexes the slot
+    // for the windows its contested frames will re-synthesize.
+    if (!t.active.empty()) {
+      ++t.res.busy_slots;
+    } else if (t.n_waiting > 0) {
+      ++t.idle_wait_slots;  // dead air while timers / verdict drains run
+    }
+    if (t.waveform_all) t.synthesize_slot(slot);
+    if (t.analytic_on && !t.active.empty()) t.fold_interference(slot);
+    if (t.hybrid) t.esc.index_slot(slot, t.active, t.rt, culled_);
+    t.energy.on_slot(slot, t.active);
+
+    // Phase C: transmission progress, overlap, aborts, frame ends.
+    t.advance_frames(slot);
+
+    // Phase D: verdict waits resolve.
+    t.wake.fire(WakeBuckets::kVerdict, slot, [&](std::size_t k) {
+      t.resolve_frame(k, slot, /*update_mac=*/true);
+      t.rt[k].st = TagRt::St::kBackoff;
+      --t.n_waiting;
+      t.redraw_wait(k, slot);
+    });
+  }
+  t.finish();
+
+  if (stages) {
     // Pure measurement: the verdict/escalation shares were accumulated
     // at their dispatch sites; the slot-loop share is the remainder.
-    const double loop_s =
-        std::chrono::duration<double>(Clock::now() - t_loop).count();
-    stages->slot_loop_s += loop_s - verdict_acc;
-    stages->verdict_s += verdict_acc - esc_acc;
-    stages->escalate_s += esc_acc;
+    const auto t_end = Clock::now();
+    stages->setup_s += std::chrono::duration<double>(t_loop - t_entry).count();
+    stages->slot_loop_s +=
+        std::chrono::duration<double>(t_end - t_loop).count() - t.verdict_s;
+    stages->verdict_s += t.verdict_s - t.escalate_s;
+    stages->escalate_s += t.escalate_s;
   }
-  return res;
+  return std::move(t.res);
 }
 
 NetworkSimSummary NetworkSimulator::run(std::size_t n) const {

@@ -72,6 +72,8 @@
 
 namespace fdb::sim {
 
+struct ChannelInputs;
+
 /// One tag of the deployment.
 struct NetworkTagConfig {
   channel::Vec2 position;
@@ -174,9 +176,11 @@ struct NetworkSimConfig {
   std::size_t num_gateways() const { return 1 + extra_gateways.size(); }
 
   /// Rejects configurations that used to fail silently (empty tag set,
-  /// non-positive transmit power, carrier/fading strings the factories
-  /// would quietly map to a default arm). Throws std::invalid_argument
-  /// with a message naming the offending field.
+  /// non-positive or non-finite transmit power, reflection_rho outside
+  /// (0, 1], non-finite tag positions, a non-positive envelope cutoff,
+  /// carrier/fading strings the factories would quietly map to a
+  /// default arm). Throws std::invalid_argument with a message naming
+  /// the offending field.
   void validate() const;
 };
 
@@ -488,15 +492,20 @@ class NetworkSimulator {
   const RelayTopology& relay_topology() const { return relay_topo_; }
 
  private:
-  /// Both engines share one templated trial body; `ActiveSet` selects
-  /// the wake-bucket/event-driven machinery (true, run_trial) or the
-  /// historical per-slot scans (false, run_trial_reference) at the few
-  /// points where they differ. Everything else — RNG draw order, frame
-  /// resolution, fault handling — is literally the same code.
+  /// Both engines share one templated slot loop over the per-trial
+  /// components of Trial; `ActiveSet` selects the wake-bucket, energy
+  /// fast-forward and segment-max components (true, run_trial) or the
+  /// historical per-slot scans (false, run_trial_reference). Everything
+  /// else — RNG draw order, frame resolution, fault handling — is
+  /// literally the same code.
+  template <bool ActiveSet>
+  struct Trial;
   template <bool ActiveSet>
   NetworkTrialResult run_trial_impl(std::uint64_t trial_index,
                                     SynthArena& arena,
                                     TrialStageTimes* stages) const;
+  /// Trial-invariant inputs of the channel-table build.
+  ChannelInputs channel_inputs() const;
 
   NetworkSimConfig config_;
   channel::Scene scene_;
@@ -532,36 +541,11 @@ class NetworkSimulator {
   // from the culling result at construction.
   RelayTopology relay_topo_;
 
-  // Harvest fractions of each tag's modulator (idle = absorb state,
-  // active = mean of the two switch positions) — trial-invariant in
-  // every mode, precomputed so the energy path stops re-asking the
-  // modulator per (tag, slot).
-  std::vector<double> hf_idle_;
-  std::vector<double> hf_act_;
-
-  // Static-channel cache: with static fading and shadowing disabled
-  // every per-trial channel quantity is trial-invariant (StaticFading
-  // consumes no randomness and Scene::amplitude_gain no longer depends
-  // on the coherence block), so the gain/coupling/swing tables and the
-  // per-slot harvest increments are computed once at construction by
-  // the same expressions the per-trial build uses. Trials point spans
-  // at these vectors instead of rebuilding them — bit-identical values
-  // and zero RNG draws skipped.
-  bool static_channel_ = false;
-  std::vector<cf32> st_h_sr_;      ///< ambient -> gateway leakage
-  std::vector<cf32> st_h_st_;      ///< ambient -> tag (incl. tx power)
-  std::vector<cf32> st_h_tr_;      ///< tag -> gateway, tag-major
-  std::vector<cf32> st_coup_on_;   ///< composed reflect coupling
-  std::vector<cf32> st_coup_off_;  ///< composed absorb coupling
-  std::vector<float> st_delta_;    ///< per-(tag, gw) envelope swing
-  std::vector<float> st_half_;     ///< in-range-masked half swings (SoA)
-  std::vector<float> st_delta_tt_;      ///< tag-tag relay swings
-  std::vector<std::size_t> st_serving_; ///< best-link gateway per tag
-  std::vector<double> st_h_idle_;  ///< per-slot idle harvest increment
-  std::vector<double> st_h_act_;   ///< per-slot reflecting increment
-  /// Full-trial fold of slots_per_trial idle harvest adds per tag: the
-  /// harvested_j of a tag that never transmits, in one lookup.
-  std::vector<double> st_idle_sum_;
+  // Static-channel cache (static fading, shadowing off): the per-trial
+  // channel tables are trial-invariant, so they are built once at
+  // construction and shared by every trial. Null otherwise.
+  struct StaticChannel;
+  std::shared_ptr<const StaticChannel> static_channel_;
 };
 
 }  // namespace fdb::sim

@@ -18,7 +18,6 @@
 #include "dsp/correlator.hpp"
 #include "dsp/envelope.hpp"
 #include "dsp/fir.hpp"
-#include "dsp/goertzel.hpp"
 #include "dsp/iir.hpp"
 #include "dsp/moving_average.hpp"
 #include "phy/preamble.hpp"
@@ -349,21 +348,6 @@ TEST(BatchEquivalence, FirFilterCC) {
     ASSERT_EQ(ref[i].real(), out[i].real()) << i;
     ASSERT_EQ(ref[i].imag(), out[i].imag()) << i;
   }
-}
-
-TEST(BatchEquivalence, GoertzelBlocks) {
-  const double fs = 8000.0;
-  const std::size_t block = 160;
-  const std::size_t nblocks = 25;
-  Goertzel a(500.0, fs, block), b(500.0, fs, block);
-  const auto in = random_stream(block * nblocks, 24);
-  std::vector<double> ref(nblocks), out(nblocks);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    ref[k] = a.process_block(
-        std::span<const float>(in.data() + k * block, block));
-  }
-  b.process_blocks(in, out);
-  for (std::size_t k = 0; k < nblocks; ++k) ASSERT_EQ(ref[k], out[k]);
 }
 
 }  // namespace

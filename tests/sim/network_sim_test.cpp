@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/runner.hpp"
 #include "sim/scenarios.hpp"
@@ -236,6 +238,53 @@ TEST(NetworkSimConfigValidation, RejectsUnknownCarrierAndFading) {
   EXPECT_THROW((void)NetworkSimulator(config), std::invalid_argument);
   config.fading = "rician";  // all named arms stay accepted
   EXPECT_NO_THROW((void)NetworkSimulator(config));
+}
+
+/// Expects construction to throw std::invalid_argument naming `field`.
+void expect_rejected(const NetworkSimConfig& config, const std::string& field) {
+  try {
+    (void)NetworkSimulator(config);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NetworkSimConfigValidation, RejectsReflectionRhoOutsideUnitInterval) {
+  // Only a debug assert used to guard this: Release runs with rho = -1
+  // delivered nothing, rho = 2 reflected more power than arrived.
+  for (const double rho : {-1.0, 0.0, 2.0}) {
+    auto config = small_config();
+    config.tags[1].reflection_rho = rho;
+    expect_rejected(config, "reflection_rho");
+  }
+  auto config = small_config();
+  config.tags[1].reflection_rho = 1.0;
+  EXPECT_NO_THROW((void)NetworkSimulator(config));
+}
+
+TEST(NetworkSimConfigValidation, RejectsInfiniteTxPower) {
+  auto config = small_config();
+  config.tx_power_w = std::numeric_limits<double>::infinity();
+  expect_rejected(config, "tx_power_w");
+}
+
+TEST(NetworkSimConfigValidation, RejectsNonPositiveEnvelopeCutoff) {
+  // Used to run and deliver 0 frames.
+  for (const double mult : {0.0, -2.0}) {
+    auto config = small_config();
+    config.envelope_cutoff_mult = mult;
+    expect_rejected(config, "envelope_cutoff_mult");
+  }
+}
+
+TEST(NetworkSimConfigValidation, RejectsNanTagPosition) {
+  // Used to surface as an unrelated std::length_error from the culling
+  // grid.
+  auto config = small_config();
+  config.tags[2].position.y = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(config, "position");
 }
 
 // ---------------------------------------------------------------------
