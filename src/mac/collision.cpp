@@ -40,8 +40,12 @@ std::size_t draw_backoff(Rng& rng, std::size_t min_slots,
 std::size_t notify_latency_slots(std::size_t base_delay_slots,
                                  double distance_m, double slots_per_m) {
   assert(distance_m >= 0.0 && slots_per_m >= 0.0);
+  // Saturates far past any trial horizon instead of overflowing the
+  // integer conversion (llround of an out-of-range product).
+  constexpr double kMaxSlots = 0x1p62;
+  const double extra = std::round(distance_m * slots_per_m);
   return base_delay_slots +
-         static_cast<std::size_t>(std::llround(distance_m * slots_per_m));
+         static_cast<std::size_t>(extra < kMaxSlots ? extra : kMaxSlots);
 }
 
 std::size_t failover_holdoff_slots(Rng& rng, std::size_t base_slots,

@@ -93,7 +93,8 @@ std::size_t draw_backoff(Rng& rng, std::size_t min_slots,
 /// slots. With several receive gateways a tag aborts on the earliest
 /// notification, so the effective latency is the minimum of this over
 /// the gateways — i.e. the closest one's. `slots_per_m == 0` keeps the
-/// legacy distance-independent latency.
+/// legacy distance-independent latency; the distance term saturates at
+/// 2^62 slots.
 std::size_t notify_latency_slots(std::size_t base_delay_slots,
                                  double distance_m, double slots_per_m);
 

@@ -3,21 +3,17 @@
 //
 //   ChannelTables     per-link gains, couplings, swings, harvest steps
 //                     (sim/trial_components.hpp; cached when static)
-//   Wake schedule     who wakes when: WakeBuckets | WakeScan
-//   Energy tracker    per-tag energy recurrence: EnergyFastForward |
-//                     EnergySweep
-//   Interference      worst in-range interference of a frame's window:
-//   window            SegmentMaxWindow | SlotSumWindow
+//   WakeBuckets       who wakes when: per-slot MAC wait events
+//   EnergyFastForward per-tag energy recurrence, idle spans on demand
+//   SegmentMaxWindow  worst in-range interference of a frame's window
 //   GatewaySlotSynth  one gateway-slot of the sample-level chain
 //   EscalationCache   frame log + lazily synthesized noisy slot history
 //   Failover          current serving gateway + dead-gateway failover
 //   RelayFabric       forwarding queues, ETX counters, re-parenting
 //   TrialAccounting   the single site every frame outcome is booked at
 //
-// run_trial() and run_trial_reference() differ only in the three
-// components with two implementations (active-set engine first); every
-// other step — RNG draw order, frame resolution, fault handling — is
-// the same code, and the ActiveSetEngine tests pin the two EXPECT_EQ.
+// tests/sim/engine_corpus_test.cpp pins run_trial's summaries to a
+// frozen golden corpus of the retired per-slot reference engine.
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
@@ -113,14 +109,43 @@ bool decoded(const core::FdRxResult& r,
          r.blocks.payload == payload;
 }
 
-/// One slot of a tag's energy recurrence, split by activity state.
-class EnergySteps {
+/// Per-tag energy recurrence: on-air tags step every slot, idle spans
+/// fast-forward on demand. sync() replays the exact per-slot idle
+/// sequence, so storage clamps, leak ticks, ledger adds and draw
+/// failures land bit-identically to stepping every tag every slot;
+/// next_[k] is the first slot whose recurrence has not been applied yet.
+class EnergyFastForward {
  public:
-  EnergySteps(const NetworkSimConfig& cfg, const ChannelTables& ch,
-              double dt, std::vector<TagRt>& rt,
-              std::vector<NetworkTagStats>& stats)
-      : cfg_(cfg), ch_(ch), dt_(dt), rt_(rt), stats_(stats) {}
+  EnergyFastForward(const NetworkSimConfig& cfg, const ChannelTables& ch,
+                    double dt, std::vector<TagRt>& rt,
+                    std::vector<NetworkTagStats>& stats, SynthArena& arena,
+                    std::span<const double> idle_sum)
+      : cfg_(cfg), ch_(ch), dt_(dt), rt_(rt), stats_(stats),
+        next_(arena.alloc_zeroed<std::uint32_t>(rt.size())),
+        idle_sum_(idle_sum) {}
 
+  void sync(std::size_t k, std::uint64_t upto) {
+    for (std::uint64_t s = next_[k]; s < upto; ++s) idle(k);
+    next_[k] = static_cast<std::uint32_t>(upto);
+  }
+  void on_slot(std::uint64_t slot, const std::vector<std::size_t>& on_air) {
+    for (const std::size_t k : on_air) {
+      active(k);
+      next_[k] = static_cast<std::uint32_t>(slot + 1);
+    }
+  }
+  /// Settles the outstanding idle span at trial end; a tag that never
+  /// woke under a static channel takes the precomputed whole-trial fold
+  /// (the identical sequential sum from the same 0.0) in one add.
+  void finish(std::size_t k, std::uint64_t slots) {
+    if (!idle_sum_.empty() && !cfg_.energy_gating && next_[k] == 0) {
+      stats_[k].harvested_j += idle_sum_[k];
+    } else {
+      sync(k, slots);
+    }
+  }
+
+ private:
   void idle(std::size_t k) const {
     stats_[k].harvested_j += ch_.h_idle[k];
     if (!cfg_.energy_gating) return;
@@ -147,130 +172,42 @@ class EnergySteps {
     }
   }
 
- protected:
   const NetworkSimConfig& cfg_;
   const ChannelTables& ch_;
   double dt_;
   std::vector<TagRt>& rt_;
   std::vector<NetworkTagStats>& stats_;
-};
-
-/// Energy tracker of the active-set engine: on-air tags step every slot,
-/// idle spans fast-forward on demand. sync() replays the exact per-slot
-/// idle sequence, so storage clamps, leak ticks, ledger adds and draw
-/// failures land bit-identically to the sweep; next_[k] is the first
-/// slot whose recurrence has not been applied yet.
-class EnergyFastForward : public EnergySteps {
- public:
-  EnergyFastForward(const EnergySteps& steps, SynthArena& arena,
-                    std::span<const double> idle_sum)
-      : EnergySteps(steps),
-        next_(arena.alloc_zeroed<std::uint32_t>(rt_.size())),
-        idle_sum_(idle_sum) {}
-
-  void sync(std::size_t k, std::uint64_t upto) {
-    for (std::uint64_t s = next_[k]; s < upto; ++s) idle(k);
-    next_[k] = static_cast<std::uint32_t>(upto);
-  }
-  void on_slot(std::uint64_t slot, const std::vector<std::size_t>& on_air) {
-    for (const std::size_t k : on_air) {
-      active(k);
-      next_[k] = static_cast<std::uint32_t>(slot + 1);
-    }
-  }
-  /// Settles the outstanding idle span at trial end; a tag that never
-  /// woke under a static channel takes the precomputed whole-trial fold
-  /// (the identical sequential sum from the same 0.0) in one add.
-  void finish(std::size_t k, std::uint64_t slots) {
-    if (!idle_sum_.empty() && !cfg_.energy_gating && next_[k] == 0) {
-      stats_[k].harvested_j += idle_sum_[k];
-    } else {
-      sync(k, slots);
-    }
-  }
-
- private:
   std::span<std::uint32_t> next_;
   std::span<const double> idle_sum_;
 };
 
-/// Energy tracker of the reference engine: every tag steps every slot.
-class EnergySweep : public EnergySteps {
- public:
-  EnergySweep(const EnergySteps& steps, SynthArena&, std::span<const double>)
-      : EnergySteps(steps) {}
-
-  void sync(std::size_t, std::uint64_t) {}
-  void on_slot(std::uint64_t, const std::vector<std::size_t>& on_air) {
-    std::size_t ai = 0;  // on_air is ascending
-    for (std::size_t k = 0; k < rt_.size(); ++k) {
-      if (ai < on_air.size() && on_air[ai] == k) {
-        active(k);
-        ++ai;
-      } else {
-        idle(k);
-      }
-    }
-  }
-  void finish(std::size_t, std::uint64_t) {}
-};
-
-/// Interference window of the active-set engine: a running per-(tag,
-/// gateway) maximum of the per-slot interference sums, folded while the
-/// frame is on air. A frame is on air over exactly [start, start +
-/// frame) slots, so the maximum covers the window the reference scan
-/// does (max is exact and order-independent — same bits, no rescan).
+/// Interference window: a running per-(tag, gateway) maximum of the
+/// per-slot interference sums, folded while the frame is on air. A
+/// frame is on air over exactly [start, start + frame) slots, so the
+/// maximum is the worst sum of its window (max is exact and
+/// order-independent — no rescan of per-slot rows).
 class SegmentMaxWindow {
  public:
-  SegmentMaxWindow(SynthArena& arena, std::size_t n_tags, std::size_t n_gw,
-                   std::size_t /*slots*/)
+  SegmentMaxWindow(SynthArena& arena, std::size_t n_tags, std::size_t n_gw)
       : n_gw_(n_gw), max_(arena.alloc<float>(n_tags * n_gw)) {}
 
   void start(std::size_t k) {
     std::fill_n(max_.begin() + k * n_gw_, n_gw_, 0.0f);
   }
-  void record(std::size_t g, std::uint64_t, float sum,
+  void record(std::size_t g, float sum,
               const std::vector<std::size_t>& on_air) {
     for (const std::size_t k : on_air) {
       float& m = max_[k * n_gw_ + g];
       if (sum > m) m = sum;
     }
   }
-  float worst(std::size_t k, std::size_t g, std::uint64_t,
-              std::uint64_t) const {
+  float worst(std::size_t k, std::size_t g) const {
     return max_[k * n_gw_ + g];
   }
 
  private:
   std::size_t n_gw_;
   std::span<float> max_;
-};
-
-/// Interference window of the reference engine: the historical
-/// per-(gateway, slot) sum rows, rescanned over each frame's window.
-class SlotSumWindow {
- public:
-  SlotSumWindow(SynthArena& arena, std::size_t /*n_tags*/, std::size_t n_gw,
-                std::size_t slots)
-      : slots_(slots), sum_(arena.alloc_zeroed<float>(n_gw * slots)) {}
-
-  void start(std::size_t) {}
-  void record(std::size_t g, std::uint64_t slot, float sum,
-              const std::vector<std::size_t>&) {
-    sum_[g * slots_ + slot] = sum;
-  }
-  float worst(std::size_t, std::size_t g, std::uint64_t lo,
-              std::uint64_t hi) const {
-    float worst = 0.0f;
-    for (std::uint64_t s = lo; s < hi; ++s) {
-      worst = std::max(worst, sum_[g * slots_ + s]);
-    }
-    return worst;
-  }
-
- private:
-  std::size_t slots_;
-  std::span<float> sum_;
 };
 
 /// One gateway-slot of the sample-level chain, shared by the kWaveform
@@ -705,82 +642,79 @@ double NetworkSimConfig::noise_power_w() const {
                                       noise_figure_db);
 }
 void NetworkSimConfig::validate() const {
-  if (tags.empty()) {
-    throw std::invalid_argument(
-        "NetworkSimConfig: tags must be non-empty (a network needs at "
-        "least one tag)");
-  }
+  const auto require = [](bool ok, const std::string& message) {
+    if (!ok) throw std::invalid_argument("NetworkSimConfig: " + message);
+  };
+  const auto finite = [](channel::Vec2 p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
+  const auto positive_finite = [](double v) {
+    return v > 0.0 && std::isfinite(v);
+  };
+  require(!tags.empty(),
+          "tags must be non-empty (a network needs at least one tag)");
   for (std::size_t k = 0; k < tags.size(); ++k) {
     const NetworkTagConfig& t = tags[k];
-    if (!std::isfinite(t.position.x) || !std::isfinite(t.position.y)) {
-      throw std::invalid_argument("NetworkSimConfig: tags[" +
-                                  std::to_string(k) +
-                                  "].position must be finite");
-    }
-    if (!(t.reflection_rho > 0.0 && t.reflection_rho <= 1.0)) {
-      throw std::invalid_argument(
-          "NetworkSimConfig: tags[" + std::to_string(k) +
-          "].reflection_rho must lie in (0, 1], got " +
-          std::to_string(t.reflection_rho));
-    }
+    const bool rho_ok = t.reflection_rho > 0.0 && t.reflection_rho <= 1.0;
+    if (finite(t.position) && rho_ok) continue;  // no per-tag strings
+    const std::string at = "tags[" + std::to_string(k) + "]";
+    require(finite(t.position), at + ".position must be finite");
+    require(rho_ok, at + ".reflection_rho must lie in (0, 1], got " +
+                        std::to_string(t.reflection_rho));
   }
-  if (!(tx_power_w > 0.0) || !std::isfinite(tx_power_w)) {
-    throw std::invalid_argument(
-        "NetworkSimConfig: tx_power_w must be positive and finite, got " +
-        std::to_string(tx_power_w));
+  require(finite(ambient_position), "ambient_position must be finite");
+  require(finite(receiver_position), "receiver_position must be finite");
+  for (std::size_t g = 0; g < extra_gateways.size(); ++g) {
+    require(finite(extra_gateways[g]),
+            "extra_gateways[" + std::to_string(g) + "] must be finite");
   }
-  if (!(envelope_cutoff_mult > 0.0) || !std::isfinite(envelope_cutoff_mult)) {
-    throw std::invalid_argument(
-        "NetworkSimConfig: envelope_cutoff_mult must be positive and "
-        "finite, got " +
-        std::to_string(envelope_cutoff_mult));
-  }
-  if (carrier != "cw" && carrier != "ofdm_tv") {
-    throw std::invalid_argument(
-        "NetworkSimConfig: unknown carrier \"" + carrier +
-        "\" (expected \"cw\" or \"ofdm_tv\")");
-  }
-  if (fading != "static" && fading != "rayleigh" && fading != "rician") {
-    throw std::invalid_argument(
-        "NetworkSimConfig: unknown fading \"" + fading +
-        "\" (expected \"static\", \"rayleigh\" or \"rician\")");
-  }
-  if (slots_per_trial == 0) {
-    throw std::invalid_argument(
-        "NetworkSimConfig: slots_per_trial must be positive (a trial "
-        "needs at least one slot)");
-  }
-  if (!(notify_slots_per_m >= 0.0)) {
-    throw std::invalid_argument(
-        "NetworkSimConfig: notify_slots_per_m must be non-negative, got " +
-        std::to_string(notify_slots_per_m));
-  }
+  require(positive_finite(tx_power_w),
+          "tx_power_w must be positive and finite, got " +
+              std::to_string(tx_power_w));
+  require(std::isfinite(pathloss.exponent),
+          "pathloss.exponent must be finite, got " +
+              std::to_string(pathloss.exponent));
+  require(std::isfinite(noise_figure_db),
+          "noise_figure_db must be finite, got " +
+              std::to_string(noise_figure_db));
+  // Negative selects the thermal estimate; infinity would drown every
+  // frame in noise.
+  require(std::isfinite(noise_power_override_w),
+          "noise_power_override_w must be finite, got " +
+              std::to_string(noise_power_override_w));
+  require(positive_finite(envelope_cutoff_mult),
+          "envelope_cutoff_mult must be positive and finite, got " +
+              std::to_string(envelope_cutoff_mult));
+  require(carrier == "cw" || carrier == "ofdm_tv",
+          "unknown carrier \"" + carrier +
+              "\" (expected \"cw\" or \"ofdm_tv\")");
+  require(fading == "static" || fading == "rayleigh" || fading == "rician",
+          "unknown fading \"" + fading +
+              "\" (expected \"static\", \"rayleigh\" or \"rician\")");
+  require(slots_per_trial > 0,
+          "slots_per_trial must be positive (a trial needs at least one "
+          "slot)");
+  require(notify_slots_per_m >= 0.0 && std::isfinite(notify_slots_per_m),
+          "notify_slots_per_m must be non-negative and finite, got " +
+              std::to_string(notify_slots_per_m));
   relay.validate();
   if (relay.enabled) {
-    if (mac_kind != mac::MacKind::kScheduled) {
-      throw std::invalid_argument(
-          "NetworkSimConfig: relaying requires the scheduled MAC (a relay "
-          "forwards in its own slotframe cell; under a contention MAC the "
-          "forwards would collide with the children they serve)");
-    }
-    if (!std::isfinite(fleet.cull_radius_m)) {
-      throw std::invalid_argument(
-          "NetworkSimConfig: relaying requires a finite "
-          "fleet.cull_radius_m (the culled set is the out-of-range set "
-          "relays exist to reach)");
-    }
+    require(mac_kind == mac::MacKind::kScheduled,
+            "relay.enabled requires mac_kind kScheduled (a relay forwards "
+            "in its own slotframe cell; under a contention MAC the forwards "
+            "would collide with the children they serve)");
+    require(std::isfinite(fleet.cull_radius_m),
+            "relay.enabled requires a finite fleet.cull_radius_m (the culled "
+            "set is the out-of-range set relays exist to reach)");
   }
-  if (failover_streak_frames > 0 &&
-      combining != GatewayCombining::kBestGateway) {
-    throw std::invalid_argument(
-        "NetworkSimConfig: failover_streak_frames requires kBestGateway "
-        "combining (any-gateway delivery has no serving gateway to fail "
-        "over from)");
-  }
+  require(failover_streak_frames == 0 ||
+              combining == GatewayCombining::kBestGateway,
+          "failover_streak_frames requires kBestGateway combining "
+          "(any-gateway delivery has no serving gateway to fail over "
+          "from)");
   fleet.validate();
   faults.validate();
 }
-
 
 void NetworkTagStats::merge(const NetworkTagStats& other) {
   frames_attempted += other.frames_attempted;
@@ -1203,25 +1137,13 @@ NetworkTrialResult NetworkSimulator::run_trial(
   // one simulator, and after warm-up no trial touches the heap for
   // synthesis scratch.
   thread_local SynthArena arena;
-  return run_trial_impl<true>(trial_index, arena, nullptr);
+  return run_trial_impl(trial_index, arena, nullptr);
 }
 
 NetworkTrialResult NetworkSimulator::run_trial(std::uint64_t trial_index,
                                                SynthArena& arena,
                                                TrialStageTimes* stages) const {
-  return run_trial_impl<true>(trial_index, arena, stages);
-}
-
-NetworkTrialResult NetworkSimulator::run_trial_reference(
-    std::uint64_t trial_index) const {
-  thread_local SynthArena arena;
-  return run_trial_impl<false>(trial_index, arena, nullptr);
-}
-
-NetworkTrialResult NetworkSimulator::run_trial_reference(
-    std::uint64_t trial_index, SynthArena& arena,
-    TrialStageTimes* stages) const {
-  return run_trial_impl<false>(trial_index, arena, stages);
+  return run_trial_impl(trial_index, arena, stages);
 }
 
 /// One trial's components and its frame-level steps (start, advance,
@@ -1231,12 +1153,7 @@ NetworkTrialResult NetworkSimulator::run_trial_reference(
 /// aligned), then the MAC's trial-opening waits. All modes consume the
 /// Rng identically, so a trial's MAC evolution and channel realisation
 /// are mode-independent and only the verdict mechanism differs.
-template <bool ActiveSet>
 struct NetworkSimulator::Trial {
-  using Wake = std::conditional_t<ActiveSet, WakeBuckets, WakeScan>;
-  using Energy = std::conditional_t<ActiveSet, EnergyFastForward, EnergySweep>;
-  using Window =
-      std::conditional_t<ActiveSet, SegmentMaxWindow, SlotSumWindow>;
   using Clock = std::chrono::steady_clock;
   static double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -1278,11 +1195,11 @@ struct NetworkSimulator::Trial {
         failover(cfg, n_gw, trial_index, ch, arena),
         relay(s.relay_topo_, cfg.relay, relay_on, n_tags),
         acct(cfg.payload_bytes, frame, fplan, rt, failover, relay, res),
-        energy(EnergySteps(cfg, ch, s.slot_seconds(), rt, res.tags), arena,
+        energy(cfg, ch, s.slot_seconds(), rt, res.tags, arena,
                s.static_channel_ ? std::span<const double>(
                                        s.static_channel_->idle_sum)
                                  : std::span<const double>{}),
-        window(arena, n_tags, analytic_on ? n_gw : 0, slots),
+        window(arena, n_tags, analytic_on ? n_gw : 0),
         synth(arena, waveform_all || hybrid, n_tags, ss, ch, noise, fplan),
         esc(arena, hybrid, n_tags, n_gw, slots, ss,
             frame + 1 + (tail + ss - 1) / ss),
@@ -1466,7 +1383,7 @@ struct NetworkSimulator::Trial {
         sum = sum * fplan.signal_scale(g, slot) +
               fplan.interferer_env(g, slot) * fplan.gateway_atten(g, slot);
       }
-      window.record(g, slot, sum, active);
+      window.record(g, sum, active);
     }
   }
 
@@ -1620,7 +1537,7 @@ struct NetworkSimulator::Trial {
         double own = sim.in_range_[k * n_gw + g] ? 0.5 * d : 0.0;
         if (fplan.any()) own *= fplan.min_signal_scale(g, lo, hi);
         const double interf = std::max(
-            0.0, static_cast<double>(window.worst(k, g, lo, hi)) - own);
+            0.0, static_cast<double>(window.worst(k, g)) - own);
         double margin;
         if (fplan.any()) {
           // The pessimistic arm takes the window's minimum signal scale,
@@ -1826,13 +1743,13 @@ struct NetworkSimulator::Trial {
   const ChannelTables ch;
   const std::span<channel::AwgnChannel> noise;
   NetworkTrialResult res;
-  Wake wake;
+  WakeBuckets wake;
   std::vector<TagRt> rt;
   Failover failover;
   RelayFabric relay;
   TrialAccounting acct;
-  Energy energy;
-  Window window;
+  EnergyFastForward energy;
+  SegmentMaxWindow window;
   GatewaySlotSynth synth;
   EscalationCache esc;
   std::vector<LinkVerdict> gw_verdict;
@@ -1850,14 +1767,13 @@ struct NetworkSimulator::Trial {
   double escalate_s = 0.0;   ///< escalation share of verdict_s
 };
 
-template <bool ActiveSet>
 NetworkTrialResult NetworkSimulator::run_trial_impl(
     std::uint64_t trial_index, SynthArena& arena,
     TrialStageTimes* stages) const {
   using Clock = std::chrono::steady_clock;
   const auto t_entry = stages ? Clock::now() : Clock::time_point{};
   arena.reset();
-  Trial<ActiveSet> t(*this, trial_index, arena, stages != nullptr);
+  Trial t(*this, trial_index, arena, stages != nullptr);
   const auto t_loop = stages ? Clock::now() : Clock::time_point{};
 
   for (std::uint64_t slot = 0; slot < t.slots; ++slot) {

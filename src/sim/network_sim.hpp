@@ -177,10 +177,11 @@ struct NetworkSimConfig {
 
   /// Rejects configurations that used to fail silently (empty tag set,
   /// non-positive or non-finite transmit power, reflection_rho outside
-  /// (0, 1], non-finite tag positions, a non-positive envelope cutoff,
-  /// carrier/fading strings the factories would quietly map to a
-  /// default arm). Throws std::invalid_argument with a message naming
-  /// the offending field.
+  /// (0, 1], non-finite tag, ambient or gateway positions, a non-finite
+  /// path-loss exponent, noise figure, noise override or notification
+  /// slope, a non-positive envelope cutoff, carrier/fading strings the
+  /// factories would quietly map to a default arm). Throws
+  /// std::invalid_argument with a message naming the offending field.
   void validate() const;
 };
 
@@ -426,18 +427,6 @@ class NetworkSimulator {
   NetworkTrialResult run_trial(std::uint64_t trial_index, SynthArena& arena,
                                TrialStageTimes* stages = nullptr) const;
 
-  /// The retained per-slot reference engine: every slot scans all tags
-  /// (MAC countdown decrements, full energy sweep, interference-sum
-  /// rows) exactly as the pre-active-set simulator did. Same purity and
-  /// determinism contracts as run_trial, and bit-identical results —
-  /// tests/sim/active_set_test.cpp pins the two engines EXPECT_EQ
-  /// across scenario x MAC x fault x energy-gating configs.
-  NetworkTrialResult run_trial_reference(std::uint64_t trial_index) const;
-  NetworkTrialResult run_trial_reference(std::uint64_t trial_index,
-                                         SynthArena& arena,
-                                         TrialStageTimes* stages =
-                                             nullptr) const;
-
   /// Runs trials [0, n) serially and aggregates. Equivalent trial-set
   /// to ExperimentRunner::run_chunked at any job count.
   NetworkSimSummary run(std::size_t n) const;
@@ -492,15 +481,8 @@ class NetworkSimulator {
   const RelayTopology& relay_topology() const { return relay_topo_; }
 
  private:
-  /// Both engines share one templated slot loop over the per-trial
-  /// components of Trial; `ActiveSet` selects the wake-bucket, energy
-  /// fast-forward and segment-max components (true, run_trial) or the
-  /// historical per-slot scans (false, run_trial_reference). Everything
-  /// else — RNG draw order, frame resolution, fault handling — is
-  /// literally the same code.
-  template <bool ActiveSet>
+  /// The slot loop over the per-trial components of Trial.
   struct Trial;
-  template <bool ActiveSet>
   NetworkTrialResult run_trial_impl(std::uint64_t trial_index,
                                     SynthArena& arena,
                                     TrialStageTimes* stages) const;

@@ -5,9 +5,8 @@
 //    trial reads (gains, reflection couplings, envelope swings, serving
 //    gateway, per-slot harvest increments), built by one function for
 //    both the per-trial draw and the construction-time static cache;
-//  * WakeBuckets / WakeScan: the two wake schedules of the slot engine
-//    (event buckets for run_trial, the historical per-slot countdown
-//    scan for run_trial_reference), one interface.
+//  * WakeBuckets: the slot engine's wake schedule, one event list per
+//    slot instead of a per-slot countdown over every tag.
 #pragma once
 
 #include <algorithm>
@@ -80,7 +79,7 @@ struct ChannelTables {
 ChannelTables build_channel_tables(const ChannelInputs& in, GainSource gains,
                                    SynthArena& arena);
 
-/// Wake schedule of the active-set engine. A pending MAC wait is one
+/// Wake schedule of the slot engine. A pending MAC wait is one
 /// event in a per-slot intrusive list (backoff and verdict-wait expiries
 /// in separate lists; a tag holds one wait at a time, so one `next`
 /// array links both). Waits expiring past the trial are never stored.
@@ -108,7 +107,7 @@ class WakeBuckets {
   }
 
   /// Calls f(k) for every `kind` wait firing at `slot`, in ascending k —
-  /// the reference scan's order, hence its Rng draw order.
+  /// the order of the trial's Rng draws.
   template <class F>
   void fire(Kind kind, std::uint64_t slot, F&& f) {
     std::size_t n = 0;
@@ -125,44 +124,6 @@ class WakeBuckets {
   std::span<std::uint32_t> heads_[2];
   std::span<std::uint32_t> next_;
   std::span<std::uint32_t> fired_;
-};
-
-/// Wake schedule of the reference engine: the historical per-slot scan.
-/// Every slot visits every tag and counts its pending wait down; same
-/// interface and firing slots as WakeBuckets.
-class WakeScan {
- public:
-  using Kind = WakeBuckets::Kind;
-
-  WakeScan(SynthArena& arena, std::size_t /*slots*/, std::size_t n_tags)
-      : counter_(arena.alloc<std::uint64_t>(n_tags)),
-        from_(arena.alloc<std::uint64_t>(n_tags)),
-        kind_(arena.alloc<std::uint8_t>(n_tags)) {
-    std::fill(kind_.begin(), kind_.end(), kNone);
-  }
-
-  void arm(Kind kind, std::size_t k, std::uint64_t from, std::uint64_t c) {
-    kind_[k] = static_cast<std::uint8_t>(kind);
-    from_[k] = from;
-    counter_[k] = c;
-  }
-
-  template <class F>
-  void fire(Kind kind, std::uint64_t slot, F&& f) {
-    for (std::size_t k = 0; k < kind_.size(); ++k) {
-      if (kind_[k] != kind || slot < from_[k]) continue;
-      if (counter_[k] == 0 || --counter_[k] == 0) {
-        kind_[k] = kNone;
-        f(k);
-      }
-    }
-  }
-
- private:
-  static constexpr std::uint8_t kNone = 0xff;
-  std::span<std::uint64_t> counter_;
-  std::span<std::uint64_t> from_;
-  std::span<std::uint8_t> kind_;
 };
 
 }  // namespace fdb::sim

@@ -20,13 +20,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row_numeric(const std::vector<double>& cells) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (const double v : cells) row.push_back(format_g(v));
-  add_row(std::move(row));
-}
-
 std::string Table::render() const {
   std::vector<std::size_t> widths(headers_.size(), 0);
   for (std::size_t c = 0; c < headers_.size(); ++c) {
@@ -53,7 +46,5 @@ std::string Table::render() const {
   for (const auto& row : rows_) emit_row(row);
   return os.str();
 }
-
-void Table::print() const { std::fputs(render().c_str(), stdout); }
 
 }  // namespace fdb

@@ -1,5 +1,5 @@
-// Console table printer: the bench harnesses print the paper's
-// tables/figure series as aligned text so runs are self-describing.
+// Aligned text table: Report's table format (sim/report.hpp) renders
+// every section through it, so bench runs are self-describing.
 #pragma once
 
 #include <string>
@@ -15,14 +15,8 @@ class Table {
   /// Adds a data row; must match the header arity.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with %.6g.
-  void add_row_numeric(const std::vector<double>& cells);
-
   /// Renders with column alignment and a header rule.
   std::string render() const;
-
-  /// Renders straight to stdout.
-  void print() const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/agc.hpp"
 #include "dsp/correlator.hpp"
 #include "dsp/envelope.hpp"
 #include "dsp/fir.hpp"
@@ -108,11 +107,6 @@ TEST(BatchEquivalence, OnePole) {
 TEST(BatchEquivalence, Biquad) {
   expect_float_kernel_equivalent(Biquad::lowpass(500.0, 48000.0),
                                  Biquad::lowpass(500.0, 48000.0), 6000, 14);
-}
-
-TEST(BatchEquivalence, Agc) {
-  expect_float_kernel_equivalent(Agc(1.0f, 0.01f), Agc(1.0f, 0.01f), 6000,
-                                 15);
 }
 
 TEST(BatchEquivalence, FirFilterF) {
@@ -290,24 +284,6 @@ TEST(BatchEquivalence, SquareLawDetector) {
     pos += n;
   }
   for (std::size_t i = 0; i < in.size(); ++i) ASSERT_EQ(ref[i], out[i]);
-}
-
-TEST(BatchEquivalence, AgcComplex) {
-  Agc scalar(1.0f, 0.01f), batch(1.0f, 0.01f);
-  const auto in = random_stream_c(6000, 20);
-  std::vector<cf32> ref(in.size()), out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) ref[i] = scalar.process(in[i]);
-  Rng chunk_rng(20);
-  std::size_t pos = 0;
-  for (const std::size_t n : random_chunks(in.size(), chunk_rng)) {
-    batch.process(std::span<const cf32>(in.data() + pos, n),
-                  std::span<cf32>(out.data() + pos, n));
-    pos += n;
-  }
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    ASSERT_EQ(ref[i].real(), out[i].real()) << i;
-    ASSERT_EQ(ref[i].imag(), out[i].imag()) << i;
-  }
 }
 
 TEST(BatchEquivalence, FirFilterC) {

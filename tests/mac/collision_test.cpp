@@ -81,6 +81,17 @@ TEST(BebWindow, ClampsAndSaturates) {
   EXPECT_EQ(beb_window(2, 63, 63), kMax);
 }
 
+TEST(NotifyLatency, RoundsTheDistanceTermAndSaturates) {
+  EXPECT_EQ(notify_latency_slots(2, 3.0, 0.5), 4u);  // 1.5 rounds up
+  EXPECT_EQ(notify_latency_slots(2, 3.0, 0.0), 2u);
+  // An out-of-range product saturates instead of overflowing llround.
+  const std::size_t cap = std::size_t{1} << 62;
+  EXPECT_EQ(notify_latency_slots(2, 10.0, 1e300), 2 + cap);
+  EXPECT_EQ(notify_latency_slots(
+                2, 10.0, std::numeric_limits<double>::infinity()),
+            2 + cap);
+}
+
 TEST(Collision, ZeroBackoffMinSlotsRuns) {
   // Regression: window clamped to >= 1 instead of drawing from an empty
   // range.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "corpus.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenarios.hpp"
 
@@ -30,47 +31,6 @@ NetworkSimConfig small_config(std::size_t num_tags = 4) {
   return config;
 }
 
-NetworkSimSummary run_with_runner(const NetworkSimulator& sim,
-                                  std::size_t trials, std::size_t jobs) {
-  const ExperimentRunner runner(jobs);
-  return runner.run_chunked<NetworkSimSummary>(
-      trials, [&sim](NetworkSimSummary& acc, std::size_t trial) {
-        acc.add(sim.run_trial(trial));
-      });
-}
-
-void expect_summaries_identical(const NetworkSimSummary& a,
-                                const NetworkSimSummary& b) {
-  ASSERT_EQ(a.tags.size(), b.tags.size());
-  ASSERT_EQ(a.gateway_decodes.size(), b.gateway_decodes.size());
-  for (std::size_t g = 0; g < a.gateway_decodes.size(); ++g) {
-    EXPECT_EQ(a.gateway_decodes[g], b.gateway_decodes[g]);
-  }
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.slots, b.slots);
-  EXPECT_EQ(a.busy_slots, b.busy_slots);
-  EXPECT_EQ(a.useful_slots, b.useful_slots);
-  EXPECT_EQ(a.wasted_slots, b.wasted_slots);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.sync_failures, b.sync_failures);
-  EXPECT_EQ(a.detect_latency_slots.count(), b.detect_latency_slots.count());
-  // Bit-identical, not approximately equal: the merge tree is fixed.
-  EXPECT_EQ(a.detect_latency_slots.mean(), b.detect_latency_slots.mean());
-  EXPECT_EQ(a.detect_latency_slots.variance(),
-            b.detect_latency_slots.variance());
-  for (std::size_t k = 0; k < a.tags.size(); ++k) {
-    EXPECT_EQ(a.tags[k].frames_attempted, b.tags[k].frames_attempted);
-    EXPECT_EQ(a.tags[k].frames_delivered, b.tags[k].frames_delivered);
-    EXPECT_EQ(a.tags[k].frames_collided, b.tags[k].frames_collided);
-    EXPECT_EQ(a.tags[k].frames_aborted, b.tags[k].frames_aborted);
-    EXPECT_EQ(a.tags[k].payload_bits_delivered,
-              b.tags[k].payload_bits_delivered);
-    EXPECT_EQ(a.tags[k].energy_outages, b.tags[k].energy_outages);
-    EXPECT_EQ(a.tags[k].harvested_j, b.tags[k].harvested_j);
-    EXPECT_EQ(a.tags[k].spent_j, b.tags[k].spent_j);
-  }
-}
-
 TEST(NetworkSim, TrialIsPureAndDeterministic) {
   const NetworkSimulator sim(small_config());
   const auto a = sim.run_trial(3);
@@ -89,9 +49,9 @@ TEST(NetworkSim, TrialIsPureAndDeterministic) {
 
 TEST(NetworkSim, BitIdenticalAcrossJobCounts) {
   const NetworkSimulator sim(small_config());
-  const auto j1 = run_with_runner(sim, 5, 1);
-  const auto j8 = run_with_runner(sim, 5, 8);
-  expect_summaries_identical(j1, j8);
+  const auto j1 = run_trials(sim, 5, 1);
+  const auto j8 = run_trials(sim, 5, 8);
+  EXPECT_EQ(summary_digest(j1), summary_digest(j8));
 }
 
 TEST(NetworkSim, SingleTagNeverCollides) {
@@ -287,6 +247,159 @@ TEST(NetworkSimConfigValidation, RejectsNanTagPosition) {
   expect_rejected(config, "position");
 }
 
+// Each config below used to run and deliver 0 or 1 frames.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(NetworkSimConfigValidation, RejectsInfiniteNotifySlope) {
+  auto config = small_config();
+  config.notify_slots_per_m = kInf;
+  expect_rejected(config, "notify_slots_per_m");
+  // A huge finite slope is valid: the latency saturates, never wraps.
+  config.notify_slots_per_m = 1e300;
+  const NetworkSimulator sim(config);
+  EXPECT_EQ(sim.notify_latency_slots(0),
+            config.notify_delay_slots + (std::size_t{1} << 62));
+}
+
+TEST(NetworkSimConfigValidation, RejectsNanReceiverPosition) {
+  auto config = small_config();
+  config.receiver_position.x = kNaN;
+  expect_rejected(config, "receiver_position");
+}
+
+TEST(NetworkSimConfigValidation, RejectsNanExtraGatewayPosition) {
+  auto config = small_config();
+  config.extra_gateways = {{9.0, 0.0}, {kNaN, 0.0}};
+  expect_rejected(config, "extra_gateways[1]");
+}
+
+TEST(NetworkSimConfigValidation, RejectsNanAmbientPosition) {
+  auto config = small_config();
+  config.ambient_position.y = kNaN;
+  expect_rejected(config, "ambient_position");
+}
+
+TEST(NetworkSimConfigValidation, RejectsNonFiniteNoiseFigure) {
+  for (const double nf : {kInf, kNaN}) {
+    auto config = small_config();
+    config.noise_figure_db = nf;
+    expect_rejected(config, "noise_figure_db");
+  }
+}
+
+TEST(NetworkSimConfigValidation, RejectsInfiniteNoiseOverride) {
+  auto config = small_config();
+  config.noise_power_override_w = kInf;
+  expect_rejected(config, "noise_power_override_w");
+}
+
+TEST(NetworkSimConfigValidation, RejectsNanPathlossExponent) {
+  auto config = small_config();
+  config.pathloss.exponent = kNaN;
+  expect_rejected(config, "pathloss.exponent");
+}
+
+/// One out-of-range value for a field validate() names; `field` must
+/// appear in the rejection message.
+struct Mutation {
+  const char* field;
+  void (*apply)(NetworkSimConfig&);
+};
+using C = NetworkSimConfig;
+const Mutation kMutations[] = {
+    {"tags", [](C& c) { c.tags.clear(); }},
+    {"position", [](C& c) { c.tags.back().position.x = kInf; }},
+    {"reflection_rho", [](C& c) { c.tags[0].reflection_rho = 1.5; }},
+    {"ambient_position", [](C& c) { c.ambient_position.x = kNaN; }},
+    {"receiver_position", [](C& c) { c.receiver_position.y = kInf; }},
+    {"extra_gateways", [](C& c) { c.extra_gateways.push_back({kNaN, 0}); }},
+    {"tx_power_w", [](C& c) { c.tx_power_w = -1.0; }},
+    {"pathloss.exponent", [](C& c) { c.pathloss.exponent = kInf; }},
+    {"noise_figure_db", [](C& c) { c.noise_figure_db = kNaN; }},
+    {"noise_power_override_w", [](C& c) { c.noise_power_override_w = kInf; }},
+    {"envelope_cutoff_mult", [](C& c) { c.envelope_cutoff_mult = 0.0; }},
+    {"carrier", [](C& c) { c.carrier = "wifi"; }},
+    {"fading", [](C& c) { c.fading = "nakagami"; }},
+    {"slots_per_trial", [](C& c) { c.slots_per_trial = 0; }},
+    {"notify_slots_per_m", [](C& c) { c.notify_slots_per_m = kInf; }},
+    {"notify_slots_per_m", [](C& c) { c.notify_slots_per_m = -0.5; }},
+    {"mac_kind",
+     [](C& c) {
+       c.relay.enabled = true;
+       c.mac_kind = mac::MacKind::kTimeout;
+     }},
+    {"cull_radius_m",
+     [](C& c) {
+       c.relay.enabled = true;
+       c.mac_kind = mac::MacKind::kScheduled;
+       c.fleet.cull_radius_m = kInf;
+     }},
+    {"failover_streak_frames",
+     [](C& c) {
+       c.combining = GatewayCombining::kAnyGateway;
+       c.failover_streak_frames = 2;
+     }},
+    {"range_m", [](C& c) { c.relay = {.enabled = true, .range_m = 0.0}; }},
+    {"max_hops", [](C& c) { c.relay = {.enabled = true, .max_hops = 1}; }},
+    {"queue_capacity",
+     [](C& c) { c.relay = {.enabled = true, .queue_capacity = 0}; }},
+    {"reparent_fail_streak",
+     [](C& c) { c.relay = {.enabled = true, .reparent_fail_streak = 0}; }},
+    {"min_margin_db",
+     [](C& c) { c.relay = {.enabled = true, .min_margin_db = kNaN}; }},
+    {"deliver_margin_db", [](C& c) { c.fleet.deliver_margin_db = -1.0; }},
+    {"fail_margin_db", [](C& c) { c.fleet.fail_margin_db = kInf; }},
+    {"cull_radius_m", [](C& c) { c.fleet.cull_radius_m = 0.0; }},
+    {"grid_cell_m", [](C& c) { c.fleet.grid_cell_m = kNaN; }},
+    {"analytic_target_ber",
+     [](C& c) {
+       c.fleet.fidelity = FidelityMode::kAnalytic;
+       c.fleet.analytic_target_ber = 0.7;
+     }},
+    {"intensity", [](C& c) { c.faults.intensity = 1.5; }},
+    {"gateway_outages_per_kslot",
+     [](C& c) { c.faults.gateway_outages_per_kslot = -1.0; }},
+    {"gateway_outage_mean_slots",
+     [](C& c) { c.faults.gateway_outage_mean_slots = 0.0; }},
+    {"gateway_outage_atten",
+     [](C& c) { c.faults.gateway_outage_atten = 2.0; }},
+    {"carrier_sags_per_kslot",
+     [](C& c) { c.faults.carrier_sags_per_kslot = kNaN; }},
+    {"carrier_sag_mean_slots",
+     [](C& c) { c.faults.carrier_sag_mean_slots = -3.0; }},
+    {"carrier_sag_floor", [](C& c) { c.faults.carrier_sag_floor = 1.0; }},
+    {"interferer_bursts_per_kslot",
+     [](C& c) { c.faults.interferer_bursts_per_kslot = kInf; }},
+    {"interferer_burst_mean_slots",
+     [](C& c) { c.faults.interferer_burst_mean_slots = 0.0; }},
+    {"interferer_env_sigma",
+     [](C& c) { c.faults.interferer_env_sigma = -1.0; }},
+    {"tag_fault_fraction", [](C& c) { c.faults.tag_fault_fraction = 1.1; }},
+    {"tag_stuck_share", [](C& c) { c.faults.tag_stuck_share = kNaN; }},
+    {"tag_drift_max_ppm", [](C& c) { c.faults.tag_drift_max_ppm = 1e6; }},
+    {"start_slot", [](C& c) { c.faults.events.push_back({.start_slot = -1}); }},
+    {"duration_slots",
+     [](C& c) { c.faults.events.push_back({.duration_slots = 0}); }},
+    {"magnitude",
+     [](C& c) { c.faults.events.push_back({.magnitude = 2.0}); }},
+};
+
+/// The invalid half of the config fuzz: generated valid configs, one
+/// out-of-range field each, must throw from the constructor naming it.
+TEST(NetworkSimConfigFuzz, InvalidMutationsThrowNamingTheField) {
+  constexpr std::size_t kRounds = 6;  // each mutation meets 6 configs
+  const std::size_t n = kRounds * std::size(kMutations);
+  for (std::uint64_t seed = 0; seed < n; ++seed) {
+    const Mutation& m = kMutations[seed % std::size(kMutations)];
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", field " + m.field);
+    NetworkSimConfig config = generate_config(seed).config;
+    ASSERT_NO_THROW(config.validate());
+    m.apply(config);
+    expect_rejected(config, m.field);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Scheduled slotframe MAC (mac/schedule.hpp) under the network engine
 // ---------------------------------------------------------------------
@@ -310,9 +423,9 @@ TEST(NetworkSimScheduled, BitIdenticalAcrossJobCounts) {
   auto config = small_config(6);
   config.mac_kind = mac::MacKind::kScheduled;
   const NetworkSimulator sim(config);
-  const auto j1 = run_with_runner(sim, 5, 1);
-  const auto j8 = run_with_runner(sim, 5, 8);
-  expect_summaries_identical(j1, j8);
+  const auto j1 = run_trials(sim, 5, 1);
+  const auto j8 = run_trials(sim, 5, 8);
+  EXPECT_EQ(summary_digest(j1), summary_digest(j8));
 }
 
 TEST(NetworkSimScheduled, BeatsContentionOnWasteInDenseScenario) {
@@ -357,7 +470,7 @@ TEST(NetworkSimGateways, SingleGatewayPolicyChoiceIsIrrelevant) {
   const auto any = NetworkSimulator(config).run(3);
   config.combining = GatewayCombining::kBestGateway;
   const auto best = NetworkSimulator(config).run(3);
-  expect_summaries_identical(any, best);
+  EXPECT_EQ(summary_digest(any), summary_digest(best));
   ASSERT_EQ(any.gateway_decodes.size(), 1u);
 }
 
@@ -365,9 +478,9 @@ TEST(NetworkSimGateways, TwoGatewaysBitIdenticalAcrossJobCounts) {
   auto scenario = make_scenario("multi-gateway-dense", 4, 7);
   scenario.config.slots_per_trial = 96;
   const NetworkSimulator sim(scenario.config);
-  const auto j1 = run_with_runner(sim, 5, 1);
-  const auto j8 = run_with_runner(sim, 5, 8);
-  expect_summaries_identical(j1, j8);
+  const auto j1 = run_trials(sim, 5, 1);
+  const auto j8 = run_trials(sim, 5, 8);
+  EXPECT_EQ(summary_digest(j1), summary_digest(j8));
   ASSERT_EQ(j1.gateway_decodes.size(), 2u);
 }
 

@@ -9,8 +9,6 @@
 
 #include <numeric>
 
-#include "sim/sweep.hpp"
-
 namespace fdb::sim {
 namespace {
 
@@ -197,18 +195,6 @@ TEST(ExperimentRunner, RunChunkedAccumulates) {
 TEST(ExperimentRunner, ZeroJobsSelectsHardware) {
   EXPECT_GE(ExperimentRunner(0).jobs(), 1u);
   EXPECT_EQ(ExperimentRunner(3).jobs(), 3u);
-}
-
-TEST(Sweep, ParallelSweepMatchesSerial) {
-  // sweep() is rebuilt on the runner: rows must keep axis order and
-  // match the serial rendering exactly for a pure row function.
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const std::function<std::vector<double>(const double&)> row_fn =
-      [](const double& x) { return std::vector<double>{x, x * x}; };
-  const auto serial = sweep<double>({"x", "x2"}, xs, row_fn);
-  const auto parallel =
-      sweep<double>(ExperimentRunner(4), {"x", "x2"}, xs, row_fn);
-  EXPECT_EQ(serial.render(), parallel.render());
 }
 
 }  // namespace

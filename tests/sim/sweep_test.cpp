@@ -38,15 +38,5 @@ TEST(Sweep, DegenerateSpacingEdgeCases) {
   EXPECT_DOUBLE_EQ(log1[0], 1e-3);
 }
 
-TEST(Sweep, SweepBuildsTable) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const auto table = sweep<double>(
-      {"x", "x_squared"}, xs,
-      [](const double& x) { return std::vector<double>{x, x * x}; });
-  EXPECT_EQ(table.rows(), 3u);
-  EXPECT_NE(table.render().find("x_squared"), std::string::npos);
-  EXPECT_NE(table.render().find("9"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace fdb::sim

@@ -1,6 +1,6 @@
 // Contracts of the trial engine's stand-alone components
-// (sim/trial_components.hpp): both wake schedules fire in ascending tag
-// order and drop waits past the trial horizon, and the channel-table
+// (sim/trial_components.hpp): the wake schedule fires in ascending tag
+// order and drops waits past the trial horizon, and the channel-table
 // builder's per-trial output under static fading equals the
 // construction-time cache bit for bit.
 #include <gtest/gtest.h>
@@ -17,13 +17,7 @@
 namespace fdb::sim {
 namespace {
 
-template <class Wake>
-class WakeScheduleTest : public ::testing::Test {};
-using WakeSchedules = ::testing::Types<WakeBuckets, WakeScan>;
-TYPED_TEST_SUITE(WakeScheduleTest, WakeSchedules);
-
-template <class Wake>
-std::vector<std::vector<std::size_t>> fire_all(Wake& wake,
+std::vector<std::vector<std::size_t>> fire_all(WakeBuckets& wake,
                                                WakeBuckets::Kind kind,
                                                std::size_t slots) {
   std::vector<std::vector<std::size_t>> fired(slots);
@@ -33,9 +27,9 @@ std::vector<std::vector<std::size_t>> fire_all(Wake& wake,
   return fired;
 }
 
-TYPED_TEST(WakeScheduleTest, FiresAscendingWhateverTheInsertionOrder) {
+TEST(WakeBuckets, FiresAscendingWhateverTheInsertionOrder) {
   SynthArena arena;
-  TypeParam wake(arena, 16, 10);
+  WakeBuckets wake(arena, 16, 10);
   // A 3-slot wait first examined at slot 3 fires at slot 5; waits of 0
   // and 1 slots both fire at the first examined slot.
   for (const std::size_t k : {7, 2, 9, 0, 4, 8, 1}) {
@@ -58,9 +52,9 @@ TYPED_TEST(WakeScheduleTest, FiresAscendingWhateverTheInsertionOrder) {
   EXPECT_EQ(verdict[5], (std::vector<std::size_t>{5}));
 }
 
-TYPED_TEST(WakeScheduleTest, DropsWaitsPastTheTrialHorizon) {
+TEST(WakeBuckets, DropsWaitsPastTheTrialHorizon) {
   SynthArena arena;
-  TypeParam wake(arena, 8, 3);
+  WakeBuckets wake(arena, 8, 3);
   wake.arm(WakeBuckets::kBackoff, 0, 7, 1);  // last slot: fires
   wake.arm(WakeBuckets::kBackoff, 1, 6, 3);  // slot 8: past the trial
   wake.arm(WakeBuckets::kVerdict, 2, 1, 8);  // parked: slot 8

@@ -16,12 +16,6 @@ TEST(Table, RendersHeaderAndRows) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(Table, NumericRowFormatting) {
-  Table t({"value"});
-  t.add_row_numeric({0.000123456});
-  EXPECT_NE(t.render().find("0.000123456"), std::string::npos);
-}
-
 TEST(Table, ColumnsAligned) {
   Table t({"a", "bbbb"});
   t.add_row({"wide-cell", "1"});
