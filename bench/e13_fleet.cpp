@@ -12,6 +12,9 @@
 // The wall-clock section is explicitly excluded from the jobs-1-vs-8
 // determinism gate (its name carries the "[wall-clock]" marker the
 // gate strips); every other section is bit-identical at any --jobs.
+// Its rows are medians over repeats interleaved across the arms of one
+// scene size, so host clock drift slows every arm alike.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -45,15 +48,21 @@ fdb::sim::NetworkSimConfig warehouse(std::size_t tags,
   return scenario.config;
 }
 
+// Timed repeats per [wall-clock] arm. Each repeat times every selected
+// mode of a scene size once, back to back, and a row reports the median
+// repeat (and the fastest): on a host whose cores shift between clock
+// states, single-shot timings moved the 10k hybrid/waveform ratio
+// across e13_analytic_speedup's 1.1 bar from one run to the next.
+constexpr std::size_t kTimingRepeats = 5;
+
 struct TimedRun {
   fdb::sim::NetworkSimSummary summary;
   double seconds = 0.0;
 };
 
 TimedRun run_timed(const fdb::sim::ExperimentRunner& runner,
-                   const fdb::sim::NetworkSimConfig& config,
+                   const fdb::sim::NetworkSimulator& sim,
                    std::size_t trials) {
-  const fdb::sim::NetworkSimulator sim(config);
   TimedRun out;
   const auto t0 = std::chrono::steady_clock::now();
   out.summary = runner.run_chunked<fdb::sim::NetworkSimSummary>(
@@ -109,38 +118,57 @@ int main(int argc, char** argv) {
   std::vector<std::vector<fdb::sim::ReportCell>> timing_rows;
   std::vector<std::vector<fdb::sim::ReportCell>> stats_rows;
   for (const SceneSize& size : sizes) {
-    double waveform_rate = 0.0;
+    struct Arm {
+      FidelityMode mode;
+      fdb::sim::NetworkSimulator sim;
+      std::vector<double> seconds;
+      fdb::sim::NetworkSimSummary summary;
+    };
+    std::vector<Arm> arms;
     for (const FidelityMode mode : modes) {
-      if (!selected(std::to_string(size.tags) + "/" +
-                    fdb::sim::fidelity_name(mode))) {
-        continue;
+      if (selected(std::to_string(size.tags) + "/" +
+                   fdb::sim::fidelity_name(mode))) {
+        arms.push_back(
+            {mode, fdb::sim::NetworkSimulator(
+                       warehouse(size.tags, size.slots_per_trial, mode)),
+             {}, {}});
       }
-      const auto config = warehouse(size.tags, size.slots_per_trial, mode);
-      const auto run = run_timed(runner, config, cli.trials);
-      const auto& s = run.summary;
+    }
+    for (std::size_t r = 0; r < kTimingRepeats; ++r) {
+      for (Arm& arm : arms) {
+        auto run = run_timed(runner, arm.sim, cli.trials);
+        arm.seconds.push_back(run.seconds);
+        arm.summary = std::move(run.summary);  // identical every repeat
+      }
+    }
+    double waveform_rate = 0.0;
+    for (Arm& arm : arms) {
+      std::sort(arm.seconds.begin(), arm.seconds.end());
+      const double median = arm.seconds[arm.seconds.size() / 2];
+      const auto& s = arm.summary;
       const double rate =
-          run.seconds > 0.0 ? static_cast<double>(s.slots) / run.seconds
-                            : 0.0;
-      if (mode == FidelityMode::kWaveform) waveform_rate = rate;
-      timing_rows.push_back({size.tags, fdb::sim::fidelity_name(mode),
+          median > 0.0 ? static_cast<double>(s.slots) / median : 0.0;
+      if (arm.mode == FidelityMode::kWaveform) waveform_rate = rate;
+      timing_rows.push_back({size.tags, fdb::sim::fidelity_name(arm.mode),
                              size.slots_per_trial, cli.trials,
-                             run.seconds * 1e3, rate,
+                             arm.seconds.size(), median * 1e3,
+                             arm.seconds.front() * 1e3, rate,
                              waveform_rate > 0.0 ? rate / waveform_rate
                                                  : 0.0});
-      const fdb::sim::NetworkSimulator sim(config);
       stats_rows.push_back(
-          {size.tags, fdb::sim::fidelity_name(mode), s.frames_attempted(),
+          {size.tags, fdb::sim::fidelity_name(arm.mode), s.frames_attempted(),
            s.frames_delivered(), s.delivery_ratio(), s.collisions,
            s.escalation_rate(), s.frames_resolved_analytic,
-           s.frames_escalated, s.frames_culled, sim.num_culled(),
+           s.frames_escalated, s.frames_culled, arm.sim.num_culled(),
            s.synthesized_slot_fraction()});
     }
   }
   {
     auto& timing = report.section(
-        "warehouse-10k slots/s by scene size and fidelity [wall-clock]",
-        {"tags", "mode", "slots_per_trial", "trials", "wall_ms",
-         "slots_per_s", "speedup_vs_waveform"});
+        "warehouse-10k slots/s by scene size and fidelity, median of "
+        "interleaved repeats [wall-clock]",
+        {"tags", "mode", "slots_per_trial", "trials", "repeats",
+         "median_ms", "min_ms", "slots_per_s", "speedup_vs_waveform"});
     for (auto& row : timing_rows) timing.add_row(std::move(row));
   }
   {
@@ -196,9 +224,15 @@ int main(int argc, char** argv) {
     auto scenario = fdb::sim::make_scenario(name, 100, 29);
     scenario.config.slots_per_trial = 96;
     scenario.config.fleet.fidelity = FidelityMode::kWaveform;
-    const auto wf = run_timed(runner, scenario.config, cli.trials).summary;
+    const auto wf =
+        run_timed(runner, fdb::sim::NetworkSimulator(scenario.config),
+                  cli.trials)
+            .summary;
     scenario.config.fleet.fidelity = FidelityMode::kHybrid;
-    const auto hy = run_timed(runner, scenario.config, cli.trials).summary;
+    const auto hy =
+        run_timed(runner, fdb::sim::NetworkSimulator(scenario.config),
+                  cli.trials)
+            .summary;
     const auto coll_rate = [](const fdb::sim::NetworkSimSummary& s) {
       return s.frames_attempted()
                  ? static_cast<double>(s.collisions) /

@@ -216,11 +216,12 @@ int main(int argc, char** argv) {
       g_sink = g_sink + acc;
     });
   });
-  // Sliding correlator, four ways: the dispatched batch kernel (SIMD
-  // blocked dots under FDB_NATIVE), the scalar batch reference it must
-  // match bit-for-bit, the per-sample wrapper, and the seed's
-  // recompute-per-sample loop. `sliding_correlator` keeps naming the
-  // scalar batch path so the committed perf trajectory stays
+  // Sliding correlator, four ways: the dispatched batch kernel (blocked
+  // SIMD dots through the AVX-512 or AVX2 kernel cpuid picks at run
+  // time, in any x86-64 build; the scalar path elsewhere), the scalar
+  // batch reference it must match bit-for-bit, the per-sample wrapper,
+  // and the seed's recompute-per-sample loop. `sliding_correlator` keeps
+  // naming the scalar batch path so the committed perf trajectory stays
   // apples-to-apples; `sliding_correlator_simd` is the dispatched API.
   add("sliding_correlator_simd", [](std::size_t n) {
     const auto env = random_envelope(4096, 4);
@@ -442,6 +443,12 @@ int main(int argc, char** argv) {
     sec.add_row({r.name, r.items_per_rep, r.msps.count(), r.msps.mean(),
                  r.msps.ci95_halfwidth(), r.msps.min(), r.msps.max()});
   }
+  // Which dot kernel sliding_correlator_simd ran: the e8_simd gate
+  // skips its ratio check when dispatch found no vector ISA.
+  report.section("sliding-correlator dot kernel (runtime dispatch)",
+                 {"dispatched_kernel"})
+      .add_row({fdb::dsp::detail::kernel_name(
+          fdb::dsp::detail::dispatched_kernel())});
   report.add_note("Shape check: every stage clears a 2 MHz ADC rate with"
                   " margin. sliding_correlator_simd (dispatched blocked-dot"
                   " kernel) vs sliding_correlator (scalar batch reference,"

@@ -5,9 +5,9 @@
 
 ctest registers every gate except the e8 ones (bench/CMakeLists.txt), and
 CI runs them through ctest, so each threshold lives here and nowhere else.
-The e8 gates are micro-benchmark ratios that only mean something on a
-specific build (Release, or -DFDB_NATIVE=ON), so CI calls them directly
-on that build. Exit status is nonzero when the gate fails.
+The e8 gates are micro-benchmark ratios that only mean something on an
+optimized (Release) build, so CI calls them directly on that build. Exit
+status is nonzero when the gate fails.
 """
 import json
 import subprocess
@@ -89,12 +89,14 @@ def e13_hybrid_speedup(binary):
 def e13_analytic_speedup(binary):
     """10k-tag scale gate of the active-set engine: analytic >= 10x
     waveform slots/s (measured 50-120x), hybrid >= 1.1x. The hybrid bar
-    sits below the portable ~1.4-1.7x because builds that speed the shared
-    synthesis/demod kernels compress the ratio."""
+    sits below the ~1.2-1.4x measured with the dispatched SIMD correlator
+    because speeding the shared synthesis/demod kernels compresses the
+    ratio. Each rate is e13's median over interleaved timing repeats;
+    single-shot timings moved this ratio across the bar between runs."""
     sps = fleet_slots_per_s(binary, '--stages', '^10000/')
     wf, an, hy = (sps[(10000, m)] for m in ('waveform', 'analytic', 'hybrid'))
     print(f'10k tags: waveform {wf:.0f}, analytic {an:.0f} ({an / wf:.1f}x), '
-          f'hybrid {hy:.0f} ({hy / wf:.1f}x) slots/s')
+          f'hybrid {hy:.0f} ({hy / wf:.2f}x) slots/s')
     assert an >= 10.0 * wf, 'analytic must be >= 10x waveform slots/s at 10k'
     assert hy >= 1.1 * wf, 'hybrid must beat waveform slots/s at 10k tags'
 
@@ -156,13 +158,15 @@ def e15_schedule_gain(binary):
 
 
 def e8_rates(binary, *args):
-    return {r[0]: r[3] for r in run(binary, *args)[0]['rows']}
+    sections = run(binary, *args)
+    kernel = section(sections, 'sliding-correlator dot kernel')['rows'][0][0]
+    return {r[0]: r[3] for r in sections[0]['rows']}, kernel
 
 
 def e8_batch(binary):
     """Release build: the batch correlator and FIR kernels beat their
     scalar loops."""
-    rows = e8_rates(binary, '--trials', '5')
+    rows, _ = e8_rates(binary, '--trials', '5')
     corr = rows['sliding_correlator'] / rows['sliding_correlator_scalar']
     fir = rows['fir_63tap'] / rows['fir_63tap_scalar']
     print(f'correlator batch/baseline: {corr:.2f}x, '
@@ -171,14 +175,20 @@ def e8_batch(binary):
 
 
 def e8_simd(binary):
-    """-DFDB_NATIVE=ON build: the SIMD correlator is >= 4x the scalar batch
-    path (within-run ratio), and the receive chain clears 5x the 7.889 Msps
-    full_rx_chain baseline recorded before the SIMD kernel landed."""
-    rows = e8_rates(binary, '--trials', '10', '--stages',
-                    'sliding_correlator|full_rx_chain')
+    """Release build: the dispatched SIMD correlator is >= 4x the scalar
+    batch path (within-run ratio), and the receive chain clears 5x the
+    7.889 Msps full_rx_chain baseline recorded before the SIMD kernel
+    landed. Skipped when runtime dispatch found no AVX2/AVX-512 kernel
+    (non-x86 hosts, MSVC builds, older CPUs)."""
+    rows, kernel = e8_rates(binary, '--trials', '10', '--stages',
+                            'sliding_correlator|full_rx_chain')
+    if kernel == 'scalar':
+        print('dispatched correlator kernel is scalar: no SIMD ratio to gate')
+        return
     ratio = rows['sliding_correlator_simd'] / rows['sliding_correlator']
     rx = rows['full_rx_chain']
-    print(f'simd/scalar-batch: {ratio:.2f}x, full_rx_chain: {rx:.1f} Msps')
+    print(f'{kernel} kernel: simd/scalar-batch {ratio:.2f}x, '
+          f'full_rx_chain {rx:.1f} Msps')
     assert ratio >= 4.0, 'SIMD correlator below 4x the scalar batch path'
     assert rx >= 39.4, 'full_rx_chain below 5x the 7.889 Msps seed baseline'
 

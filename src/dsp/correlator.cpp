@@ -4,12 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
-#if defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #include <immintrin.h>
-#define FDB_CORRELATOR_SIMD 1
-#else
-#define FDB_CORRELATOR_SIMD 0
 #endif
 
 namespace fdb::dsp {
@@ -26,14 +24,150 @@ constexpr std::size_t kBlock = 4096;
 // same instants — chunked and scalar feeding stay bit-identical.
 constexpr std::uint64_t kRefreshMask = (1u << 15) - 1;
 
+// The reference pattern dot. Four independent partial sums break the
+// sequential FP chain so the loop vectorizes under strict FP math; the
+// combine order — (d0+d1)+(d2+d3), then a sequential tail — is fixed,
+// and it is the exact summation tree every SIMD lane reproduces. The
+// float and pre-widened double windows give bit-identical results:
+// double(float) is exact.
+template <typename T>
+double dot_tree(const double* pat, std::size_t w, const T* win) {
+  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+  std::size_t k = 0;
+  for (; k + 4 <= w; k += 4) {
+    d0 += static_cast<double>(win[k]) * pat[k];
+    d1 += static_cast<double>(win[k + 1]) * pat[k + 1];
+    d2 += static_cast<double>(win[k + 2]) * pat[k + 2];
+    d3 += static_cast<double>(win[k + 3]) * pat[k + 3];
+  }
+  double dot = (d0 + d1) + (d2 + d3);
+  for (; k < w; ++k) {
+    dot += static_cast<double>(win[k]) * pat[k];
+  }
+  return dot;
+}
+
+void check_sizes(std::span<const float> in, std::span<float> out) {
+  if (in.size() != out.size()) {
+    throw std::invalid_argument("SlidingCorrelator: in and out sizes differ");
+  }
+}
+
+using detail::DotKernel;
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+// Output-blocked, tap-outer SIMD kernels over the pre-widened window:
+// lane l of block j0 accumulates the window starting at first + j0 + l,
+// one unaligned load first[j0+k ..) per tap k, in dot_one_d's four
+// k-mod-4 accumulators plus tail. Every product of two float-valued
+// doubles is exact (24+24 < 53 bits), so each FMA equals mul+add and
+// every lane matches dot_one_d bit-for-bit. Two lane groups per tap let
+// one broadcast feed two FMAs. Target attributes compile each kernel
+// whatever the build flags; dispatched_kernel() picks one the CPU has.
+// Each returns how many leading outputs it filled (whole blocks).
+__attribute__((target("avx2,fma"))) std::size_t dot_block_avx2(
+    const double* pat, std::size_t w, const double* first, std::size_t n,
+    double* dots) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const double* win = first + j;
+    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= w; k += 4) {
+      const __m256d p0 = _mm256_set1_pd(pat[k]);
+      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p0, a0);
+      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p0, b0);
+      const __m256d p1 = _mm256_set1_pd(pat[k + 1]);
+      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1), p1, a1);
+      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 5), p1, b1);
+      const __m256d p2 = _mm256_set1_pd(pat[k + 2]);
+      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2), p2, a2);
+      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 6), p2, b2);
+      const __m256d p3 = _mm256_set1_pd(pat[k + 3]);
+      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3), p3, a3);
+      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 7), p3, b3);
+    }
+    __m256d da = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
+    __m256d db = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
+    for (; k < w; ++k) {
+      const __m256d p = _mm256_set1_pd(pat[k]);
+      da = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p, da);
+      db = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p, db);
+    }
+    _mm256_storeu_pd(dots + j, da);
+    _mm256_storeu_pd(dots + j + 4, db);
+  }
+  return j;
+}
+
+__attribute__((target("avx512f"))) std::size_t dot_block_avx512(
+    const double* pat, std::size_t w, const double* first, std::size_t n,
+    double* dots) {
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const double* win = first + j;
+    __m512d a0 = _mm512_setzero_pd(), b0 = _mm512_setzero_pd();
+    __m512d a1 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
+    __m512d a2 = _mm512_setzero_pd(), b2 = _mm512_setzero_pd();
+    __m512d a3 = _mm512_setzero_pd(), b3 = _mm512_setzero_pd();
+    std::size_t k = 0;
+    for (; k + 4 <= w; k += 4) {
+      const __m512d p0 = _mm512_set1_pd(pat[k]);
+      a0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p0, a0);
+      b0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p0, b0);
+      const __m512d p1 = _mm512_set1_pd(pat[k + 1]);
+      a1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1), p1, a1);
+      b1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 9), p1, b1);
+      const __m512d p2 = _mm512_set1_pd(pat[k + 2]);
+      a2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2), p2, a2);
+      b2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 10), p2, b2);
+      const __m512d p3 = _mm512_set1_pd(pat[k + 3]);
+      a3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3), p3, a3);
+      b3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 11), p3, b3);
+    }
+    __m512d da = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
+    __m512d db = _mm512_add_pd(_mm512_add_pd(b0, b1), _mm512_add_pd(b2, b3));
+    for (; k < w; ++k) {
+      const __m512d p = _mm512_set1_pd(pat[k]);
+      da = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p, da);
+      db = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p, db);
+    }
+    _mm512_storeu_pd(dots + j, da);
+    _mm512_storeu_pd(dots + j + 8, db);
+  }
+  // pick_kernel pairs AVX-512 with AVX2+FMA: the 2x4-lane kernel ends it.
+  return j + dot_block_avx2(pat, w, first + j, n - j, dots + j);
+}
+
+DotKernel pick_kernel() {
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+    return DotKernel::kScalar;
+  }
+  return __builtin_cpu_supports("avx512f") ? DotKernel::kAvx512
+                                           : DotKernel::kAvx2;
+}
+#else
+// No x86 vector ISA to dispatch to (other architectures, MSVC).
+DotKernel pick_kernel() { return DotKernel::kScalar; }
+#endif
+
 }  // namespace
 
 SlidingCorrelator::SlidingCorrelator(std::vector<float> pattern,
-                                     std::size_t samples_per_chip) {
-  assert(!pattern.empty() && samples_per_chip > 0);
+                                     std::size_t samples_per_chip)
+    : kernel_(detail::dispatched_kernel()) {
+  const auto bad_chip = [](float c) { return c != 1.0f && c != -1.0f; };
+  if (pattern.empty() || samples_per_chip == 0 ||
+      std::any_of(pattern.begin(), pattern.end(), bad_chip)) {
+    throw std::invalid_argument(
+        "SlidingCorrelator: empty/non-+-1 pattern or samples_per_chip == 0");
+  }
   stretched_.reserve(pattern.size() * samples_per_chip);
   for (const float chip : pattern) {
-    assert(chip == 1.0f || chip == -1.0f);
     for (std::size_t s = 0; s < samples_per_chip; ++s) {
       stretched_.push_back(chip);
     }
@@ -79,198 +213,62 @@ void SlidingCorrelator::refresh_sums(const float* window) {
   sumsq_ = s2;
 }
 
-double SlidingCorrelator::dot_one(const float* win) const {
-  // Four independent partial sums break the sequential FP chain so the
-  // loop vectorizes under strict FP math; the combine order is fixed,
-  // keeping results deterministic — and it is the exact summation tree
-  // every lane of the blocked SIMD kernel reproduces.
-  const double* pat = pattern_d_.data();
-  const std::size_t w = window_len_;
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  std::size_t k = 0;
-  for (; k + 4 <= w; k += 4) {
-    d0 += static_cast<double>(win[k]) * pat[k];
-    d1 += static_cast<double>(win[k + 1]) * pat[k + 1];
-    d2 += static_cast<double>(win[k + 2]) * pat[k + 2];
-    d3 += static_cast<double>(win[k + 3]) * pat[k + 3];
-  }
-  double dot = (d0 + d1) + (d2 + d3);
-  for (; k < w; ++k) {
-    dot += static_cast<double>(win[k]) * pat[k];
-  }
-  return dot;
+namespace detail {
+
+double dot_one_d(const double* pat, std::size_t w, const double* win) {
+  return dot_tree(pat, w, win);
 }
 
-double SlidingCorrelator::dot_one_d(const double* win) const {
-  // Widened-window twin of dot_one: win[k] is float-valued (the
-  // widening is exact), so every product and the whole tree are
-  // bit-identical to the float version.
-  const double* pat = pattern_d_.data();
-  const std::size_t w = window_len_;
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  std::size_t k = 0;
-  for (; k + 4 <= w; k += 4) {
-    d0 += win[k] * pat[k];
-    d1 += win[k + 1] * pat[k + 1];
-    d2 += win[k + 2] * pat[k + 2];
-    d3 += win[k + 3] * pat[k + 3];
-  }
-  double dot = (d0 + d1) + (d2 + d3);
-  for (; k < w; ++k) {
-    dot += win[k] * pat[k];
-  }
-  return dot;
+DotKernel dispatched_kernel() {
+  // Function-local static: cpuid is read once, and C++ guarantees the
+  // initialisation is race-free when several threads call first.
+  static const DotKernel kernel = pick_kernel();
+  return kernel;
 }
 
-void SlidingCorrelator::dot_block(const double* first, std::size_t n,
-                                  double* dots) const {
-  // Output-blocked, tap-outer kernel over the pre-widened window: lane
-  // l of a block accumulates the dot of the window starting at
-  // first + j0 + l. At a fixed tap k the lanes read one contiguous
-  // unaligned double load first[j0+k .. j0+k+lanes), and every lane
-  // keeps the scalar reference's four k-mod-4 accumulators plus
-  // sequential tail. Both factors of every product are float-valued
-  // doubles (24+24 < 53 bits → the product is exact), so each FMA
-  // equals multiply-then-add bit-for-bit and the kernel matches
-  // dot_one() exactly. The widest block runs two lane groups per tap so
-  // one broadcast feeds two FMAs and the FMA latency chains interleave.
-  const double* pat = pattern_d_.data();
-  const std::size_t w = window_len_;
+bool supported(DotKernel k) {
+  return static_cast<int>(k) <= static_cast<int>(dispatched_kernel());
+}
+
+const char* kernel_name(DotKernel k) {
+  static constexpr const char* kNames[] = {"scalar", "avx2", "avx512"};
+  return kNames[static_cast<int>(k)];
+}
+
+void dot_block(DotKernel k, const double* pat, std::size_t w,
+               const double* first, std::size_t n, double* dots) {
+  if (!supported(k)) {
+    throw std::invalid_argument("dot_block: kernel not supported by this CPU");
+  }
   std::size_t j = 0;
-#if defined(__AVX512F__)
-  for (; j + 16 <= n; j += 16) {
-    const double* win = first + j;
-    __m512d a0 = _mm512_setzero_pd(), b0 = _mm512_setzero_pd();
-    __m512d a1 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-    __m512d a2 = _mm512_setzero_pd(), b2 = _mm512_setzero_pd();
-    __m512d a3 = _mm512_setzero_pd(), b3 = _mm512_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m512d p0 = _mm512_set1_pd(pat[k]);
-      a0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p0, a0);
-      b0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p0, b0);
-      const __m512d p1 = _mm512_set1_pd(pat[k + 1]);
-      a1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1), p1, a1);
-      b1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 9), p1, b1);
-      const __m512d p2 = _mm512_set1_pd(pat[k + 2]);
-      a2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2), p2, a2);
-      b2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 10), p2, b2);
-      const __m512d p3 = _mm512_set1_pd(pat[k + 3]);
-      a3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3), p3, a3);
-      b3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 11), p3, b3);
-    }
-    __m512d da = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
-    __m512d db = _mm512_add_pd(_mm512_add_pd(b0, b1), _mm512_add_pd(b2, b3));
-    for (; k < w; ++k) {
-      const __m512d p = _mm512_set1_pd(pat[k]);
-      da = _mm512_fmadd_pd(_mm512_loadu_pd(win + k), p, da);
-      db = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 8), p, db);
-    }
-    _mm512_storeu_pd(dots + j, da);
-    _mm512_storeu_pd(dots + j + 8, db);
-  }
-  for (; j + 8 <= n; j += 8) {
-    const double* win = first + j;
-    __m512d d0 = _mm512_setzero_pd();
-    __m512d d1 = _mm512_setzero_pd();
-    __m512d d2 = _mm512_setzero_pd();
-    __m512d d3 = _mm512_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      d0 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
-                           _mm512_set1_pd(pat[k]), d0);
-      d1 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 1),
-                           _mm512_set1_pd(pat[k + 1]), d1);
-      d2 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 2),
-                           _mm512_set1_pd(pat[k + 2]), d2);
-      d3 = _mm512_fmadd_pd(_mm512_loadu_pd(win + k + 3),
-                           _mm512_set1_pd(pat[k + 3]), d3);
-    }
-    __m512d dot = _mm512_add_pd(_mm512_add_pd(d0, d1), _mm512_add_pd(d2, d3));
-    for (; k < w; ++k) {
-      dot = _mm512_fmadd_pd(_mm512_loadu_pd(win + k),
-                            _mm512_set1_pd(pat[k]), dot);
-    }
-    _mm512_storeu_pd(dots + j, dot);
-  }
-#elif defined(__AVX2__) && defined(__FMA__)
-  for (; j + 8 <= n; j += 8) {
-    const double* win = first + j;
-    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      const __m256d p0 = _mm256_set1_pd(pat[k]);
-      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p0, a0);
-      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p0, b0);
-      const __m256d p1 = _mm256_set1_pd(pat[k + 1]);
-      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1), p1, a1);
-      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 5), p1, b1);
-      const __m256d p2 = _mm256_set1_pd(pat[k + 2]);
-      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2), p2, a2);
-      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 6), p2, b2);
-      const __m256d p3 = _mm256_set1_pd(pat[k + 3]);
-      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3), p3, a3);
-      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 7), p3, b3);
-    }
-    __m256d da = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-    __m256d db = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
-    for (; k < w; ++k) {
-      const __m256d p = _mm256_set1_pd(pat[k]);
-      da = _mm256_fmadd_pd(_mm256_loadu_pd(win + k), p, da);
-      db = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 4), p, db);
-    }
-    _mm256_storeu_pd(dots + j, da);
-    _mm256_storeu_pd(dots + j + 4, db);
-  }
-  for (; j + 4 <= n; j += 4) {
-    const double* win = first + j;
-    __m256d d0 = _mm256_setzero_pd();
-    __m256d d1 = _mm256_setzero_pd();
-    __m256d d2 = _mm256_setzero_pd();
-    __m256d d3 = _mm256_setzero_pd();
-    std::size_t k = 0;
-    for (; k + 4 <= w; k += 4) {
-      d0 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
-                           _mm256_set1_pd(pat[k]), d0);
-      d1 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 1),
-                           _mm256_set1_pd(pat[k + 1]), d1);
-      d2 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 2),
-                           _mm256_set1_pd(pat[k + 2]), d2);
-      d3 = _mm256_fmadd_pd(_mm256_loadu_pd(win + k + 3),
-                           _mm256_set1_pd(pat[k + 3]), d3);
-    }
-    __m256d dot = _mm256_add_pd(_mm256_add_pd(d0, d1), _mm256_add_pd(d2, d3));
-    for (; k < w; ++k) {
-      dot = _mm256_fmadd_pd(_mm256_loadu_pd(win + k),
-                            _mm256_set1_pd(pat[k]), dot);
-    }
-    _mm256_storeu_pd(dots + j, dot);
-  }
-#else
-  (void)pat;
-  (void)w;
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  if (k == DotKernel::kAvx512) j = dot_block_avx512(pat, w, first, n, dots);
+  if (k == DotKernel::kAvx2) j = dot_block_avx2(pat, w, first, n, dots);
 #endif
-  for (; j < n; ++j) dots[j] = dot_one_d(first + j);
+  for (; j < n; ++j) dots[j] = dot_one_d(pat, w, first + j);
+}
+
+}  // namespace detail
+
+void SlidingCorrelator::use_kernel(detail::DotKernel k) {
+  if (!detail::supported(k)) {
+    throw std::invalid_argument("SlidingCorrelator: kernel not supported");
+  }
+  kernel_ = k;
 }
 
 void SlidingCorrelator::process(std::span<const float> in,
                                 std::span<float> out) {
-#if !FDB_CORRELATOR_SIMD
-  // Without a vector ISA the blocked restructure is pure overhead (the
-  // dots fall back to dot_one anyway); the single-pass scalar loop is
-  // the faster — and definitionally bit-identical — path.
-  process_scalar(in, out);
-#else
+  // Without a vector kernel the blocked restructure is pure overhead;
+  // the single-pass scalar reference is faster and bit-identical.
+  if (kernel_ == detail::DotKernel::kScalar) return process_scalar(in, out);
   // Three passes per block, each matching the scalar reference's
   // per-sample op order exactly — the dot is a pure function of the
   // window, so deferring it past the bookkeeping changes nothing:
   //   1. bookkeeping: running sum/energy, refresh, per-output mean/denom
   //   2. blocked pattern dots for the warmed-up suffix
   //   3. elementwise normalisation into out
-  assert(in.size() == out.size());
+  check_sizes(in, out);
   const std::size_t w = window_len_;
   const double inv_w = 1.0 / static_cast<double>(w);
   std::size_t done = 0;
@@ -316,7 +314,8 @@ void SlidingCorrelator::process(std::span<const float> in,
       for (std::size_t i = 0; i < span; ++i) {
         win_d_[i] = static_cast<double>(src[i]);
       }
-      dot_block(win_d_.data(), take - warm, dot_buf_.data());
+      detail::dot_block(kernel_, pattern_d_.data(), w, win_d_.data(),
+                        take - warm, dot_buf_.data());
     }
     for (std::size_t i = 0; i < warm; ++i) o[i] = 0.0f;
     for (std::size_t i = warm; i < take; ++i) {
@@ -333,12 +332,11 @@ void SlidingCorrelator::process(std::span<const float> in,
     cursor_ += take;
     done += take;
   }
-#endif
 }
 
 void SlidingCorrelator::process_scalar(std::span<const float> in,
                                        std::span<float> out) {
-  assert(in.size() == out.size());
+  check_sizes(in, out);
   const std::size_t w = window_len_;
   const double inv_w = 1.0 / static_cast<double>(w);
   std::size_t done = 0;
@@ -362,7 +360,8 @@ void SlidingCorrelator::process_scalar(std::span<const float> in,
         if (energy < 0.0) energy = 0.0;
         const double denom = std::sqrt(energy * pattern_energy_);
         if (denom >= 1e-12) {
-          const double dot = dot_one(base + i) - mean * pattern_sum_;
+          const double dot =
+              dot_tree(pattern_d_.data(), w, base + i) - mean * pattern_sum_;
           corr = static_cast<float>(dot / denom);
         }
       }
@@ -399,7 +398,8 @@ float SlidingCorrelator::process(float x) {
     if (energy < 0.0) energy = 0.0;
     const double denom = std::sqrt(energy * pattern_energy_);
     if (denom >= 1e-12) {
-      const double dot = dot_one(base) - mean * pattern_sum_;
+      const double dot =
+          dot_tree(pattern_d_.data(), w, base) - mean * pattern_sum_;
       corr = static_cast<float>(dot / denom);
     }
   }

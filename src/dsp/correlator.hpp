@@ -7,12 +7,15 @@
 // Batch-first: the primary API is process(span, span), which keeps the
 // window in a contiguous history buffer (no modulo indexing), tracks
 // the window mean and energy incrementally, and computes the pattern
-// dots through an output-blocked SIMD kernel (8-wide AVX-512 /
-// 4-wide AVX2 FMA lanes when the build ISA has them, a scalar loop
-// otherwise). process_scalar(span, span) is the bit-exact scalar
-// reference the SIMD path is verified against; process(x) is a
-// specialized single-sample path over the same arithmetic. All three
-// are bit-identical for any chunking of the stream:
+// dots through an output-blocked SIMD kernel (8-wide AVX-512 or 4-wide
+// AVX2 FMA lanes). Both kernels are compiled into every x86-64 GCC/Clang
+// build through target attributes, and one is picked at run time from
+// cpuid (detail::dispatched_kernel); without either — another
+// architecture, MSVC, or an older CPU — process(span) runs the scalar
+// reference. process_scalar(span, span) is that bit-exact reference;
+// process(x) is a specialized single-sample path over the same
+// arithmetic. All three are bit-identical for any chunking of the
+// stream and on any host:
 //
 //   * every float×float product is exact in double (24+24 < 53 bits),
 //     so vector FMA ≡ scalar multiply-then-add, and
@@ -33,9 +36,37 @@
 
 namespace fdb::dsp {
 
+namespace detail {
+
+/// Pattern-dot kernels of the batch path, ordered by ISA: a host that
+/// runs one runs every kernel before it.
+enum class DotKernel { kScalar, kAvx2, kAvx512 };
+
+/// The widest kernel this build and CPU support, read from cpuid once.
+DotKernel dispatched_kernel();
+
+/// True when `k` can run here (kScalar always can).
+bool supported(DotKernel k);
+
+/// "scalar", "avx2" or "avx512".
+const char* kernel_name(DotKernel k);
+
+/// Reference dot of the taps pat[0, w) with win[0, w): four k-mod-4
+/// partial sums combined (d0+d1)+(d2+d3), then a sequential tail.
+double dot_one_d(const double* pat, std::size_t w, const double* win);
+
+/// dots[j] = dot_one_d(pat, w, first + j) for j in [0, n), bit-exactly,
+/// through kernel `k`. Throws std::invalid_argument if !supported(k).
+void dot_block(DotKernel k, const double* pat, std::size_t w,
+               const double* first, std::size_t n, double* dots);
+
+}  // namespace detail
+
 class SlidingCorrelator {
  public:
   /// `pattern` holds ±1 chips; `samples_per_chip` stretches each chip.
+  /// Throws std::invalid_argument for an empty pattern, a chip other
+  /// than ±1, or samples_per_chip == 0.
   SlidingCorrelator(std::vector<float> pattern, std::size_t samples_per_chip);
 
   /// Pushes one envelope sample; returns the normalised correlation in
@@ -48,15 +79,21 @@ class SlidingCorrelator {
   /// Batch kernel: out[i] is the correlation after pushing in[i].
   /// Arbitrary span lengths; state carries across calls, so splitting a
   /// stream into chunks of any size yields bit-identical output. Pattern
-  /// dots run through the output-blocked SIMD kernel when the build ISA
-  /// provides one.
+  /// dots run through the kernel() chosen at construction. Throws
+  /// std::invalid_argument when in and out differ in size.
   void process(std::span<const float> in, std::span<float> out);
 
   /// Scalar determinism reference: the per-sample loop the SIMD path
   /// must match bit-for-bit (pinned by tests/dsp/batch_equivalence).
   /// Same state machine as process(span, span); only the dot kernel
-  /// differs in shape, not in arithmetic.
+  /// differs in shape, not in arithmetic. Same size check.
   void process_scalar(std::span<const float> in, std::span<float> out);
+
+  /// The dot kernel process(span, span) uses: dispatched_kernel() unless
+  /// use_kernel() overrode it. use_kernel lets tests drive every kernel
+  /// the host supports; it throws std::invalid_argument otherwise.
+  detail::DotKernel kernel() const { return kernel_; }
+  void use_kernel(detail::DotKernel k);
 
   /// True once the internal window is full and outputs are meaningful.
   bool warmed_up() const { return total_ >= window_len_; }
@@ -68,24 +105,12 @@ class SlidingCorrelator {
   void compact();
   void refresh_sums(const float* window);
 
-  /// Reference pattern dot over one window: four k-mod-4 partial sums
-  /// combined (d0+d1)+(d2+d3) plus a sequential tail.
-  double dot_one(const float* win) const;
-
-  /// Same summation tree over an already float→double-widened window
-  /// (the widening is exact, so the two are bit-identical).
-  double dot_one_d(const double* win) const;
-
-  /// Blocked dots over the widened window: dots[j] = dot of the window
-  /// starting at first + j, for j in [0, n), with consecutive outputs
-  /// mapped to SIMD lanes (each lane reproduces dot_one's tree exactly).
-  void dot_block(const double* first, std::size_t n, double* dots) const;
-
   std::vector<float> stretched_;   // pattern expanded & mean-removed
   std::vector<double> pattern_d_;  // same taps widened once for the dot
   double pattern_energy_ = 0.0;
   double pattern_sum_ = 0.0;  // residual DC of the float-rounded pattern
   std::size_t window_len_ = 0;
+  detail::DotKernel kernel_;
 
   // Contiguous history: hist_[cursor_ - (window_len_-1) .. cursor_) holds
   // the most recent window_len_-1 samples; incoming blocks append at

@@ -163,6 +163,83 @@ TEST(BatchEquivalence, SlidingCorrelatorSimdDispatch) {
   }
 }
 
+/// Every pattern-dot kernel this host can run: scalar always, AVX2 and
+/// AVX-512 where the CPU has them — not only the one dispatch picks.
+std::vector<detail::DotKernel> host_kernels() {
+  std::vector<detail::DotKernel> kernels;
+  for (const auto k : {detail::DotKernel::kScalar, detail::DotKernel::kAvx2,
+                       detail::DotKernel::kAvx512}) {
+    if (detail::supported(k)) kernels.push_back(k);
+  }
+  return kernels;
+}
+
+TEST(BatchEquivalence, DotKernelsMatchReferenceDot) {
+  // Each kernel against dot_one_d window by window. Window lengths with
+  // w % 4 != 0 exercise the sequential tail after the four partial
+  // sums; output counts that are not multiples of 16, 8 or 4 leave a
+  // remainder after every lane-block width. Taps and samples are
+  // float-valued doubles, as the correlator feeds them.
+  Rng rng(2024);
+  for (const std::size_t w : {1, 2, 3, 4, 5, 7, 13, 34, 102, 204, 253}) {
+    std::vector<double> pat(w);
+    for (auto& p : pat) p = static_cast<float>(rng.normal());
+    std::vector<double> win(61 + w - 1);
+    for (auto& v : win) v = static_cast<float>(1.0 + 0.25 * rng.normal());
+    for (const std::size_t n :
+         {0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 33, 47, 61}) {
+      for (const auto k : host_kernels()) {
+        std::vector<double> dots(n, -1.0);
+        detail::dot_block(k, pat.data(), w, win.data(), n, dots.data());
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(detail::dot_one_d(pat.data(), w, win.data() + j), dots[j])
+              << detail::kernel_name(k) << " w=" << w << " n=" << n
+              << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEquivalence, SlidingCorrelatorEveryKernel) {
+  // process(span) forced onto each host kernel against process_scalar,
+  // with the 34-chip frame preamble at every samples-per-chip find_sync
+  // correlates at. find_sync strides chips of spc >= 16 samples by the
+  // largest divisor s of spc with 2 <= s <= spc/8 and correlates at
+  // spc/s samples per chip; below 16 (or with no such s) it runs at spc.
+  const auto pattern = phy::chips_to_pattern(phy::default_preamble_chips());
+  const auto sync_spc = [](std::size_t spc) {
+    for (std::size_t s = spc / 8; spc >= 16 && s >= 2; --s) {
+      if (spc % s == 0) return spc / s;
+    }
+    return spc;
+  };
+  const auto in = random_stream(6000, 99);
+  for (const std::size_t spc : {1, 2, 3, 5, 6, 8, 12, 15, 16, 17, 20, 24,
+                                64, 100}) {
+    const std::size_t c = sync_spc(spc);
+    for (const auto k : host_kernels()) {
+      SlidingCorrelator ref_k(pattern, c), k_k(pattern, c);
+      k_k.use_kernel(k);
+      ASSERT_EQ(k_k.kernel(), k);
+      std::vector<float> ref(in.size()), out(in.size());
+      ref_k.process_scalar(in, ref);
+      Rng chunk_rng(spc);
+      std::size_t pos = 0;
+      for (const std::size_t n : random_chunks(in.size(), chunk_rng)) {
+        k_k.process(std::span<const float>(in.data() + pos, n),
+                    std::span<float>(out.data() + pos, n));
+        pos += n;
+      }
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        ASSERT_EQ(ref[i], out[i]) << detail::kernel_name(k) << " spc=" << spc
+                                  << " (correlated at " << c << ") sample "
+                                  << i;
+      }
+    }
+  }
+}
+
 TEST(BatchEquivalence, AdaptiveSlicerBatch) {
   // The slicer's batch path swaps the per-chip O(window) min/max rescan
   // for monotonic-deque rolling extremes; window extremes involve no FP

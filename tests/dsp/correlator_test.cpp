@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "phy/preamble.hpp"
@@ -127,6 +129,49 @@ TEST(SlidingCorrelator, ResetRestartsWarmup) {
   corr.reset();
   EXPECT_FALSE(corr.warmed_up());
   EXPECT_FLOAT_EQ(corr.process(0.7f), 0.0f);
+}
+
+TEST(SlidingCorrelator, RejectsInvalidConstructorArguments) {
+  const auto pattern = phy::chips_to_pattern(phy::barker13_chips());
+  EXPECT_THROW(SlidingCorrelator({}, 4), std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator(pattern, 0), std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator({1.0f, 0.5f, -1.0f}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(SlidingCorrelator({1.0f, 0.0f}, 2), std::invalid_argument);
+}
+
+TEST(SlidingCorrelator, RejectsMismatchedSpans) {
+  SlidingCorrelator corr(phy::chips_to_pattern(phy::barker13_chips()), 4);
+  std::vector<float> in(64, 1.0f), shorter(63), longer(65);
+  EXPECT_THROW(corr.process(in, shorter), std::invalid_argument);
+  EXPECT_THROW(corr.process(in, longer), std::invalid_argument);
+  EXPECT_THROW(corr.process_scalar(in, shorter), std::invalid_argument);
+  EXPECT_THROW(corr.process_scalar(in, longer), std::invalid_argument);
+  // Every kernel checks, not only the one dispatched here.
+  for (const auto k : {detail::DotKernel::kScalar, detail::DotKernel::kAvx2,
+                       detail::DotKernel::kAvx512}) {
+    if (!detail::supported(k)) continue;
+    corr.use_kernel(k);
+    EXPECT_THROW(corr.process(in, shorter), std::invalid_argument);
+  }
+  // A rejected call leaves the stream untouched.
+  EXPECT_FALSE(corr.warmed_up());
+}
+
+TEST(SlidingCorrelator, DispatchedKernelIsSupportedAndDefault) {
+  const auto k = detail::dispatched_kernel();
+  EXPECT_TRUE(detail::supported(k));
+  EXPECT_TRUE(detail::supported(detail::DotKernel::kScalar));
+  const std::string name = detail::kernel_name(k);
+  EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "avx512") << name;
+  SlidingCorrelator corr(phy::chips_to_pattern(phy::barker13_chips()), 4);
+  EXPECT_EQ(corr.kernel(), k);
+  for (const auto other : {detail::DotKernel::kAvx2,
+                           detail::DotKernel::kAvx512}) {
+    if (!detail::supported(other)) {
+      EXPECT_THROW(corr.use_kernel(other), std::invalid_argument);
+    }
+  }
 }
 
 TEST(PeakDetector, ReportsPeakAfterLockout) {
