@@ -6,9 +6,7 @@
 // and runs `--trials` timed repetitions; repetition throughputs
 // aggregate into RunningStats for mean/CI/min/max. Stages fan out
 // across the runner's workers — keep --jobs 1 (the default here) for
-// the cleanest timings, raise it for a quick smoke pass. Pipe
-// `--format json --output BENCH_e8.json` to refresh the committed perf
-// trajectory.
+// the cleanest timings, raise it for a quick smoke pass.
 #include <chrono>
 #include <cmath>
 #include <cstddef>

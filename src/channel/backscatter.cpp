@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace fdb::channel {
 
 ReflectionStates ReflectionStates::ook(double rho) {
@@ -36,7 +38,10 @@ cf32 BackscatterModulator::reflect(cf32 incident, bool state) const {
 void BackscatterModulator::reflect(std::span<const cf32> incident,
                                    std::span<const std::uint8_t> states,
                                    std::span<cf32> out) const {
-  assert(incident.size() == states.size() && incident.size() == out.size());
+  require_same_size("BackscatterModulator::reflect", incident.size(),
+                    states.size());
+  require_same_size("BackscatterModulator::reflect", incident.size(),
+                    out.size());
   for (std::size_t i = 0; i < incident.size(); ++i) {
     out[i] = reflect(incident[i], states[i] != 0);
   }

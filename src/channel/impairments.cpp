@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/check.hpp"
 #include "util/db.hpp"
 
 namespace fdb::channel {
@@ -27,7 +28,7 @@ cf32 AwgnChannel::process(cf32 x) {
 }
 
 void AwgnChannel::process(std::span<const cf32> in, std::span<cf32> out) {
-  assert(in.size() == out.size());
+  require_same_size("AwgnChannel::process", in.size(), out.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process(in[i]);
 }
 
@@ -46,7 +47,7 @@ cf32 CfoRotator::process(cf32 x) {
 }
 
 void CfoRotator::process(std::span<const cf32> in, std::span<cf32> out) {
-  assert(in.size() == out.size());
+  require_same_size("CfoRotator::process", in.size(), out.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process(in[i]);
 }
 

@@ -10,6 +10,8 @@
 #include <immintrin.h>
 #endif
 
+#include "util/check.hpp"
+
 namespace fdb::dsp {
 namespace {
 
@@ -45,12 +47,6 @@ double dot_tree(const double* pat, std::size_t w, const T* win) {
     dot += static_cast<double>(win[k]) * pat[k];
   }
   return dot;
-}
-
-void check_sizes(std::span<const float> in, std::span<float> out) {
-  if (in.size() != out.size()) {
-    throw std::invalid_argument("SlidingCorrelator: in and out sizes differ");
-  }
 }
 
 using detail::DotKernel;
@@ -268,7 +264,7 @@ void SlidingCorrelator::process(std::span<const float> in,
   //   1. bookkeeping: running sum/energy, refresh, per-output mean/denom
   //   2. blocked pattern dots for the warmed-up suffix
   //   3. elementwise normalisation into out
-  check_sizes(in, out);
+  require_same_size("SlidingCorrelator::process", in.size(), out.size());
   const std::size_t w = window_len_;
   const double inv_w = 1.0 / static_cast<double>(w);
   std::size_t done = 0;
@@ -336,7 +332,8 @@ void SlidingCorrelator::process(std::span<const float> in,
 
 void SlidingCorrelator::process_scalar(std::span<const float> in,
                                        std::span<float> out) {
-  check_sizes(in, out);
+  require_same_size("SlidingCorrelator::process_scalar", in.size(),
+                    out.size());
   const std::size_t w = window_len_;
   const double inv_w = 1.0 / static_cast<double>(w);
   std::size_t done = 0;

@@ -1,7 +1,8 @@
 #include "dsp/envelope.hpp"
 
-#include <cassert>
 #include <cmath>
+
+#include "util/check.hpp"
 
 namespace fdb::dsp {
 
@@ -16,7 +17,7 @@ float EnvelopeDetector::process(cf32 x) {
 
 void EnvelopeDetector::process(std::span<const cf32> in,
                                std::span<float> out) {
-  assert(in.size() == out.size());
+  require_same_size("EnvelopeDetector::process", in.size(), out.size());
   // Two-pass batch kernel: the magnitude pass vectorizes (sqrt of
   // I^2+Q^2 over contiguous memory, staged through `out` so no scratch
   // buffer is needed), then the one-pole RC recurrence runs in place.
@@ -38,7 +39,7 @@ float SquareLawDetector::process(cf32 x) {
 
 void SquareLawDetector::process(std::span<const cf32> in,
                                 std::span<float> out) {
-  assert(in.size() == out.size());
+  require_same_size("SquareLawDetector::process", in.size(), out.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = std::norm(in[i]);
   smoother_.process(std::span<const float>(out.data(), out.size()), out);
 }

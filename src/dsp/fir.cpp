@@ -6,6 +6,8 @@
 #include <cstring>
 #include <numbers>
 
+#include "util/check.hpp"
+
 namespace fdb::dsp {
 namespace detail {
 namespace {
@@ -40,7 +42,7 @@ void BlockFir<Tap, Sample>::compact() {
 template <typename Tap, typename Sample>
 void BlockFir<Tap, Sample>::run(std::span<const Sample> in,
                                 std::span<Sample> out) {
-  assert(in.size() == out.size());
+  require_same_size("FirFilter::process", in.size(), out.size());
   const std::size_t t = taps_.size();
   const Tap* rt = rtaps_.data();
   std::size_t done = 0;

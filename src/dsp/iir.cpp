@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/check.hpp"
+
 namespace fdb::dsp {
 
 OnePole::OnePole(double alpha) : alpha_(alpha) {
@@ -25,7 +27,7 @@ float OnePole::process(float x) {
 }
 
 void OnePole::process(std::span<const float> in, std::span<float> out) {
-  assert(in.size() == out.size());
+  require_same_size("OnePole::process", in.size(), out.size());
   // Batch kernel: the recurrence runs on registers, state is written
   // back once. Safe for in-place use (in.data() == out.data()).
   const double a = alpha_;
@@ -85,7 +87,7 @@ float Biquad::process(float x) {
 }
 
 void Biquad::process(std::span<const float> in, std::span<float> out) {
-  assert(in.size() == out.size());
+  require_same_size("Biquad::process", in.size(), out.size());
   // Batch kernel: direct-form-I state lives in registers across the
   // block. Safe for in-place use.
   double x1 = x1_, x2 = x2_, y1 = y1_, y2 = y2_;

@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace fdb::dsp {
 
 template <typename T>
@@ -33,7 +35,7 @@ class MovingAverage {
   /// prologue peels off so the steady-state loop carries no fill check,
   /// and the ring index uses a conditional wrap instead of `%`.
   void process(std::span<const T> in, std::span<T> out) {
-    assert(in.size() == out.size());
+    require_same_size("MovingAverage::process", in.size(), out.size());
     std::size_t i = 0;
     for (; i < in.size() && filled_ < window_; ++i) {
       sum_ += in[i];

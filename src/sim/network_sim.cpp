@@ -38,13 +38,12 @@ namespace fdb::sim {
 
 /// Construction-time channel tables of a static channel (static fading,
 /// shadowing off): every per-trial table is then trial-invariant, so
-/// trials read these instead of rebuilding them.
+/// trials read these instead of rebuilding them. No per-tag harvest
+/// fold is cached: EnergyFastForward settles a never-woken tag's
+/// whole-trial idle span like any other span.
 struct NetworkSimulator::StaticChannel {
   SynthArena arena;
   ChannelTables tables;
-  /// Full-trial fold of slots_per_trial idle harvest adds per tag: the
-  /// harvested_j of a tag that never transmits, in one lookup.
-  std::vector<double> idle_sum;
 };
 
 namespace {
@@ -110,22 +109,34 @@ bool decoded(const core::FdRxResult& r,
 }
 
 /// Per-tag energy recurrence: on-air tags step every slot, idle spans
-/// fast-forward on demand. sync() replays the exact per-slot idle
-/// sequence, so storage clamps, leak ticks, ledger adds and draw
-/// failures land bit-identically to stepping every tag every slot;
-/// next_[k] is the first slot whose recurrence has not been applied yet.
+/// fast-forward on demand; next_[k] is the first slot whose recurrence
+/// has not been applied yet. Ungated, an idle slot is one
+/// `harvested_j += h_idle` and nothing else, so sync() replays those
+/// adds and stops at the first one that leaves harvested_j unchanged:
+/// the same add then changes nothing for the rest of the span. A tag
+/// below the rectifier sensitivity (h_idle == 0) thus costs one add per
+/// span. Gated, sync() replays every slot, because storage clamps, leak
+/// ticks, ledger adds and draw failures change state on every slot.
 class EnergyFastForward {
  public:
   EnergyFastForward(const NetworkSimConfig& cfg, const ChannelTables& ch,
                     double dt, std::vector<TagRt>& rt,
-                    std::vector<NetworkTagStats>& stats, SynthArena& arena,
-                    std::span<const double> idle_sum)
+                    std::vector<NetworkTagStats>& stats, SynthArena& arena)
       : cfg_(cfg), ch_(ch), dt_(dt), rt_(rt), stats_(stats),
-        next_(arena.alloc_zeroed<std::uint32_t>(rt.size())),
-        idle_sum_(idle_sum) {}
+        next_(arena.alloc_zeroed<std::uint32_t>(rt.size())) {}
 
   void sync(std::size_t k, std::uint64_t upto) {
-    for (std::uint64_t s = next_[k]; s < upto; ++s) idle(k);
+    if (cfg_.energy_gating) {
+      for (std::uint64_t s = next_[k]; s < upto; ++s) idle(k);
+    } else {
+      double& x = stats_[k].harvested_j;
+      for (std::uint64_t s = next_[k]; s < upto; ++s) {
+        const double y = x + ch_.h_idle[k];
+        const bool fixed = y == x;  // bit-equal, or a zero of either sign
+        x = y;
+        if (fixed) break;  // x + h_idle is x again on every later slot
+      }
+    }
     next_[k] = static_cast<std::uint32_t>(upto);
   }
   void on_slot(std::uint64_t slot, const std::vector<std::size_t>& on_air) {
@@ -134,21 +145,11 @@ class EnergyFastForward {
       next_[k] = static_cast<std::uint32_t>(slot + 1);
     }
   }
-  /// Settles the outstanding idle span at trial end; a tag that never
-  /// woke under a static channel takes the precomputed whole-trial fold
-  /// (the identical sequential sum from the same 0.0) in one add.
-  void finish(std::size_t k, std::uint64_t slots) {
-    if (!idle_sum_.empty() && !cfg_.energy_gating && next_[k] == 0) {
-      stats_[k].harvested_j += idle_sum_[k];
-    } else {
-      sync(k, slots);
-    }
-  }
 
  private:
+  /// One gated idle slot.
   void idle(std::size_t k) const {
     stats_[k].harvested_j += ch_.h_idle[k];
-    if (!cfg_.energy_gating) return;
     TagRt& tag = rt_[k];
     tag.storage.charge(ch_.h_idle[k]);
     tag.storage.tick(dt_);
@@ -178,7 +179,6 @@ class EnergyFastForward {
   std::vector<TagRt>& rt_;
   std::vector<NetworkTagStats>& stats_;
   std::span<std::uint32_t> next_;
-  std::span<const double> idle_sum_;
 };
 
 /// Interference window: a running per-(tag, gateway) maximum of the
@@ -641,6 +641,7 @@ double NetworkSimConfig::noise_power_w() const {
   return channel::thermal_noise_power(modem.data.rates.sample_rate_hz,
                                       noise_figure_db);
 }
+
 void NetworkSimConfig::validate() const {
   const auto require = [](bool ok, const std::string& message) {
     if (!ok) throw std::invalid_argument("NetworkSimConfig: " + message);
@@ -653,6 +654,15 @@ void NetworkSimConfig::validate() const {
   };
   require(!tags.empty(),
           "tags must be non-empty (a network needs at least one tag)");
+  // Slot cursors are uint32_t, and the wake lists reserve tag index
+  // 0xffffffff as their nil.
+  constexpr std::size_t kIndexMax = 0xffffffffu;
+  require(tags.size() < kIndexMax,
+          "tags must number fewer than 2^32 - 1, got " +
+              std::to_string(tags.size()));
+  require(slots_per_trial <= kIndexMax,
+          "slots_per_trial must not exceed 2^32 - 1, got " +
+              std::to_string(slots_per_trial));
   for (std::size_t k = 0; k < tags.size(); ++k) {
     const NetworkTagConfig& t = tags[k];
     const bool rho_ok = t.reflection_rho > 0.0 && t.reflection_rho <= 1.0;
@@ -1084,15 +1094,6 @@ NetworkSimulator::NetworkSimulator(NetworkSimConfig config)
       config_.pathloss.shadowing_sigma_db == 0.0) {
     auto st = std::make_shared<StaticChannel>();
     st->tables = build_channel_tables(channel_inputs(), {}, st->arena);
-    // The fold replays the exact add sequence of the per-slot sweep.
-    st->idle_sum.resize(config_.tags.size());
-    for (std::size_t k = 0; k < config_.tags.size(); ++k) {
-      double acc = 0.0;
-      for (std::size_t s = 0; s < config_.slots_per_trial; ++s) {
-        acc += st->tables.h_idle[k];
-      }
-      st->idle_sum[k] = acc;
-    }
     static_channel_ = std::move(st);
   }
 }
@@ -1195,10 +1196,7 @@ struct NetworkSimulator::Trial {
         failover(cfg, n_gw, trial_index, ch, arena),
         relay(s.relay_topo_, cfg.relay, relay_on, n_tags),
         acct(cfg.payload_bytes, frame, fplan, rt, failover, relay, res),
-        energy(cfg, ch, s.slot_seconds(), rt, res.tags, arena,
-               s.static_channel_ ? std::span<const double>(
-                                       s.static_channel_->idle_sum)
-                                 : std::span<const double>{}),
+        energy(cfg, ch, s.slot_seconds(), rt, res.tags, arena),
         window(arena, n_tags, analytic_on ? n_gw : 0),
         synth(arena, waveform_all || hybrid, n_tags, ss, ch, noise, fplan),
         esc(arena, hybrid, n_tags, n_gw, slots, ss,
@@ -1720,7 +1718,7 @@ struct NetworkSimulator::Trial {
         resolve_frame(k, slots - 1, /*update_mac=*/false);
       }
       rt[k].st = TagRt::St::kBackoff;
-      energy.finish(k, slots);
+      energy.sync(k, slots);  // settle the trailing idle span
       res.tags[k].spent_j = rt[k].ledger.total_energy_j();
     }
     for (const auto& q : relay.queue) res.relay_drops += q.size();

@@ -180,8 +180,9 @@ struct NetworkSimConfig {
   /// (0, 1], non-finite tag, ambient or gateway positions, a non-finite
   /// path-loss exponent, noise figure, noise override or notification
   /// slope, a non-positive envelope cutoff, carrier/fading strings the
-  /// factories would quietly map to a default arm). Throws
-  /// std::invalid_argument with a message naming the offending field.
+  /// factories would quietly map to a default arm, 2^32 - 1 or more
+  /// tags, more than 2^32 - 1 slots). Throws std::invalid_argument with
+  /// a message naming the offending field.
   void validate() const;
 };
 

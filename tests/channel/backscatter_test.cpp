@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace fdb::channel {
@@ -64,6 +65,17 @@ TEST(BackscatterModulator, EnergyConservation) {
       EXPECT_LE(reflected + mod.harvest_fraction(state), 1.0 + 1e-6);
     }
   }
+}
+
+TEST(BackscatterModulator, BlockReflectionRejectsMismatchedSpans) {
+  BackscatterModulator mod(ReflectionStates::ook(1.0));
+  const std::vector<cf32> incident(64);
+  const std::vector<std::uint8_t> states(64), short_states(32);
+  std::vector<cf32> out(64), short_out(32);
+  EXPECT_THROW(mod.reflect(incident, states, short_out),
+               std::invalid_argument);
+  EXPECT_THROW(mod.reflect(incident, short_states, out),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 namespace fdb::channel {
 namespace {
@@ -87,6 +89,19 @@ TEST(DelayLine, DelaysBySamples) {
   EXPECT_EQ(delay.process({3.0f, 0.0f}), (cf32{0.0f, 0.0f}));
   EXPECT_EQ(delay.process({4.0f, 0.0f}), (cf32{1.0f, 0.0f}));
   EXPECT_EQ(delay.process({5.0f, 0.0f}), (cf32{2.0f, 0.0f}));
+}
+
+TEST(Awgn, RejectsMismatchedSpans) {
+  AwgnChannel awgn(0.25, Rng(7));
+  std::vector<cf32> in(64), shorter(32), longer(65);
+  EXPECT_THROW(awgn.process(in, shorter), std::invalid_argument);
+  EXPECT_THROW(awgn.process(in, longer), std::invalid_argument);
+}
+
+TEST(Cfo, RejectsMismatchedSpans) {
+  CfoRotator cfo(100.0, 1e6);
+  std::vector<cf32> in(64), shorter(32);
+  EXPECT_THROW(cfo.process(in, shorter), std::invalid_argument);
 }
 
 }  // namespace

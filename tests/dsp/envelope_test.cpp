@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 namespace fdb::dsp {
@@ -64,6 +65,21 @@ TEST(EnvelopeDetector, ResetForgetsState) {
   env.reset();
   const float y = env.process({1.0f, 0.0f});
   EXPECT_LT(y, 1.0f);  // fresh RC ramping from zero, no residue of 10
+}
+
+TEST(EnvelopeDetector, RejectsMismatchedSpans) {
+  EnvelopeDetector det(1e3, 1e6);
+  std::vector<cf32> in(64);
+  std::vector<float> shorter(32), longer(65);
+  EXPECT_THROW(det.process(in, shorter), std::invalid_argument);
+  EXPECT_THROW(det.process(in, longer), std::invalid_argument);
+}
+
+TEST(SquareLawDetector, RejectsMismatchedSpans) {
+  SquareLawDetector det(1e3, 1e6);
+  std::vector<cf32> in(64);
+  std::vector<float> shorter(32);
+  EXPECT_THROW(det.process(in, shorter), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 namespace fdb::dsp {
@@ -116,6 +117,25 @@ TEST(FirFilterCC, ComplexTapsRotate) {
   const cf32 y = fir.process({1.0f, 0.0f});
   EXPECT_NEAR(y.real(), 0.0f, 1e-6f);
   EXPECT_NEAR(y.imag(), 1.0f, 1e-6f);
+}
+
+TEST(FirFilterF, RejectsMismatchedSpans) {
+  FirFilterF fir(design_lowpass(0.1, 15));
+  std::vector<float> in(64), shorter(32), longer(65);
+  EXPECT_THROW(fir.process(in, shorter), std::invalid_argument);
+  EXPECT_THROW(fir.process(in, longer), std::invalid_argument);
+}
+
+TEST(FirFilterC, RejectsMismatchedSpans) {
+  FirFilterC fir(design_lowpass(0.1, 15));
+  std::vector<cf32> in(64), shorter(32);
+  EXPECT_THROW(fir.process(in, shorter), std::invalid_argument);
+}
+
+TEST(FirFilterCC, RejectsMismatchedSpans) {
+  FirFilterCC fir({cf32{1.0f, 0.0f}, cf32{0.0f, 0.5f}});
+  std::vector<cf32> in(64), shorter(32);
+  EXPECT_THROW(fir.process(in, shorter), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 namespace fdb::dsp {
@@ -91,6 +92,19 @@ TEST(Biquad, BlockApiMatchesSampleApi) {
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_FLOAT_EQ(b.process(in[i]), out[i]);
   }
+}
+
+TEST(OnePole, RejectsMismatchedSpans) {
+  OnePole lp(0.5);
+  std::vector<float> in(64), shorter(32), longer(65);
+  EXPECT_THROW(lp.process(in, shorter), std::invalid_argument);
+  EXPECT_THROW(lp.process(in, longer), std::invalid_argument);
+}
+
+TEST(Biquad, RejectsMismatchedSpans) {
+  Biquad bq = Biquad::lowpass(1000.0, 48000.0);
+  std::vector<float> in(64), shorter(32);
+  EXPECT_THROW(bq.process(in, shorter), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <iterator>
 #include <span>
+#include <stdexcept>
+#include <vector>
 
 namespace fdb::dsp {
 namespace {
@@ -89,6 +91,13 @@ TEST(WindowedMinMax, SizeCapped) {
   mm.push(2);
   mm.push(3);
   EXPECT_EQ(mm.size(), 2u);
+}
+
+TEST(MovingAverage, RejectsMismatchedSpans) {
+  MovingAverage<float> ma(4);
+  std::vector<float> in(64), shorter(32), longer(65);
+  EXPECT_THROW(ma.process(in, shorter), std::invalid_argument);
+  EXPECT_THROW(ma.process(in, longer), std::invalid_argument);
 }
 
 }  // namespace

@@ -181,6 +181,18 @@ TEST(NetworkSimConfigValidation, RejectsZeroSlotsPerTrial) {
   EXPECT_THROW((void)NetworkSimulator(config), std::invalid_argument);
 }
 
+TEST(NetworkSimConfigValidation, RejectsUnindexableExtent) {
+  // validate() alone: a simulator this large would allocate per-slot
+  // wake lists before it could fail.
+  auto config = small_config();
+  config.slots_per_trial = std::size_t{0xffffffff};
+  EXPECT_NO_THROW(config.validate());
+  config.slots_per_trial = std::size_t{0xffffffff} + 1;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  // The matching tag bound (fewer than 2^32 - 1 tags) stays untested:
+  // no test can build a tag vector that long.
+}
+
 TEST(NetworkSimConfigValidation, RejectsNegativeNotifySlope) {
   auto config = small_config();
   config.notify_slots_per_m = -0.25;  // would underflow the latency
